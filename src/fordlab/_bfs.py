@@ -1,32 +1,39 @@
 """Breadth-first word enumeration over matrix generators.
 
-Three interchangeable kernels, picked per generator set:
+One level-synchronous driver walks the Cayley graph of a generator set, one
+word length (level) at a time, and keeps each level as its states sorted
+lexicographically.  The graph is undirected, so every neighbour of a level-L
+state lies in level L-1, L or L+1: a new level is deduplicated against the
+two levels before it and no set of all visited states is kept (frontier
+search; Korf et al., "Frontier Search", J. ACM 52(5), 2005).  Earlier
+levels stay as sorted rows only, so that witness words can be traced back
+by binary search.
 
-* an int64 numpy kernel for rational-integer matrices (the common case),
-  with a per-level overflow guard that migrates to exact Python integers
-  before any product could wrap.  The same kernel takes the normalizer
-  generators: integer matrices in Gamma0(p) together with Atkin-Lehner
-  elements M/sqrt(p), carried as integer rows with one scale column;
-* a numpy kernel for imaginary-quadratic integer matrices stored in ring
-  coordinates;
-* a generic exact kernel over MoebiusElement for everything else, i.e.
-  real-quadratic input that does not provably close up in the scaled
-  integer encoding.
+A ring codec encodes the states:
 
-All kernels are level-synchronized and produce identical, order-independent
-results for any frontier chunking, which is what makes reports reproducible
-across parallelism degrees.
+* ``_IntCodec``: rational-integer matrices, or, given a radicand p, the
+  normalizer generators (integer matrices in Gamma0(p) and Atkin-Lehner
+  elements M/sqrt(p)) as integer rows with one scale column;
+* ``_PairCodec``: imaginary-quadratic integer matrices in ring coordinates;
+* ``_ExactCodec``: MoebiusElement states, for input with no proven integer
+  encoding.
+
+Integer rows run on int64 numpy levels while a per-level guard proves that
+no product can overflow, and on exact Python-int levels from then on.  The
+row order of a level decides which state becomes a trace's witness, and it
+is the same on both kinds of level, so results are deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
 from fordlab.exactnum import QuadValue
-from fordlab.moebius import MoebiusElement, omega_coords
+from fordlab.moebius import MoebiusElement, identity, omega_coords
 
 _INT64_GUARD = 1 << 61
 DEFAULT_STATE_CAP = 5_000_000
@@ -46,9 +53,6 @@ class EnumerationResult:
         self.states_explored = states_explored
         self.max_len_reached = max_len_reached
 
-    def trace_set(self):
-        return set(self.traces)
-
 
 def _directions(gens):
     dirs, labels = [], []
@@ -65,12 +69,6 @@ def _directions(gens):
             labels.append(label)
     inv_idx = [seen[d.inv().key()] for d in dirs]
     return dirs, labels, inv_idx
-
-
-def _chunks(n, parallelism):
-    k = max(1, min(parallelism, n))
-    step = (n + k - 1) // k
-    return [(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 # -- integer matrices, optionally scaled by 1/sqrt(p) ----------------------
@@ -128,74 +126,34 @@ def _atkin_lehner_prime(gens) -> int | None:
     return p
 
 
-def _int_mul(x, y):
-    a, b, c, d = x
-    p, q, r, s = y
-    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+class _IntCodec:
+    """Integer matrices [[a, b], [c, d]] as rows (a, b, c, d).
 
-
-def _int_normalize(row):
-    a, b, c, d = row
-    for v in (c, a, b, d):
-        if v:
-            if v < 0:
-                return (-a, -b, -c, -d)
-            return row
-    return row
-
-
-def _np_normalize(arr):
-    sgn = np.where(arr[:, 2] != 0, np.sign(arr[:, 2]),
-                   np.where(arr[:, 0] != 0, np.sign(arr[:, 0]),
-                            np.where(arr[:, 1] != 0, np.sign(arr[:, 1]),
-                                     np.sign(arr[:, 3]))))
-    arr[:, :4] *= sgn[:, None]
-    return arr
-
-
-def _np_mul(arr, gen):
-    p, q, r, s = gen[:4]
-    a, b, c, d = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-    return np.stack([a * p + b * r, a * q + b * s,
-                     c * p + d * r, c * q + d * s], axis=1)
-
-
-class _IntSearch:
-    """BFS over integer matrices; numpy-accelerated while entries fit int64.
-
-    With a radicand p (see ``_atkin_lehner_prime``) a state is a row
-    (a, b, c, d, e) standing for [[a, b], [c, d]] / sqrt(p)^e, e in {0, 1};
-    a product of two scaled states is divided exactly by p.  The trace of a
-    scaled state is (|a + d| / p) * sqrt(p).  Traces are keyed by their
-    (rational, radical) integer coefficients.
+    With a radicand p (see ``_atkin_lehner_prime``) a row (a, b, c, d, e)
+    stands for [[a, b], [c, d]] / sqrt(p)^e, e in {0, 1}; a product of two
+    scaled states is divided exactly by p.  The trace of a scaled state is
+    (|a + d| / p) * sqrt(p).  Trace keys are the (rational, radical) integer
+    coefficients.
     """
 
-    def __init__(self, gens, bound: Fraction, cap: int, parallelism: int,
-                 p: int | None = None):
-        dirs, self.labels, self.inv_idx = _directions(gens)
+    growth = 1
+
+    def __init__(self, bound: Fraction, p: int | None = None):
         self.p = p
-        self.dirs_t = [self._entries(d) for d in dirs]
+        self.ident = (1, 0, 0, 1) if p is None else (1, 0, 0, 1, 0)
         self.bound_floor = bound.numerator // bound.denominator
         # largest m with m*sqrt(p) <= bound
         self.rad_floor = -1
         if p is not None and bound >= 0:
             self.rad_floor = isqrt(bound.numerator ** 2
                                    // (p * bound.denominator ** 2))
-        # |a + d| limit per e, clipped to int64 (the kernel keeps |a + d| < 2**62)
+        # |a + d| limit per e, clipped to int64 (the guard keeps |a + d| < 2**62)
         self.np_limits = np.array(
             [max(-1, min(lim, 1 << 62))
              for lim in (self.bound_floor, self.rad_floor * (p or 1))],
             dtype=np.int64)
-        self.cap = cap
-        self.parallelism = max(1, parallelism)
-        self.gen_max = max((max(abs(e) for e in t[:4]) for t in self.dirs_t),
-                           default=1)
-        self.ident = (1, 0, 0, 1) if p is None else (1, 0, 0, 1, 0)
-        self.visited = {self.ident: 0}
-        self.traces = {}      # (rational, radical) -> (level, state tuple)
-        self.max_level = 0
 
-    def _entries(self, g):
+    def entries(self, g):
         row = _int_entries(g)
         if self.p is None:
             return row
@@ -203,141 +161,55 @@ class _IntSearch:
             return row + (0,)
         return _scaled_entries(g)[0] + (1,)
 
-    def _mul(self, x, y):
-        if self.p is None:
-            return _int_normalize(_int_mul(x, y))
-        row = _int_mul(x[:4], y[:4])
-        e = x[4] + y[4]
-        if e == 2:
-            row, e = tuple(v // self.p for v in row), 0
-        return _int_normalize(row) + (e,)
+    @staticmethod
+    def _product(x, y):
+        # entries of x*y, for x as Python ints or as numpy columns
+        a, b, c, d = x[:4]
+        p, q, r, s = y[:4]
+        return [a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s]
 
-    def _np_product(self, arr, gen):
-        prod = _np_mul(arr, gen)
-        if self.p is None:
-            return _np_normalize(prod)
-        e = arr[:, 4]
-        if gen[4]:
-            prod[e == 1] //= self.p
-            e = 1 - e
-        return _np_normalize(np.column_stack([prod, e]))
+    def mul(self, x, y):
+        row = self._product(x, y)
+        if self.p is not None and x[4] and y[4]:
+            row = [v // self.p for v in row]
+        for lead in (row[2], row[0], row[1], row[3]):
+            if lead:
+                if lead < 0:
+                    row = [-v for v in row]
+                break
+        return tuple(row) if self.p is None else (*row, x[4] ^ y[4])
 
-    def _record(self, key, level):
-        s = abs(key[0] + key[3])
-        if self.p is None or not key[4]:
-            tk, ok = (s, 0), s <= self.bound_floor
-        else:
-            tk, ok = (0, s // self.p), s // self.p <= self.rad_floor
-        if ok and tk not in self.traces:
-            self.traces[tk] = (level, key)
+    def np_mul(self, arr, gen):
+        prod = np.stack(self._product(arr.T, gen), axis=1)
+        if self.p is not None:
+            e = arr[:, 4]
+            if gen[4]:
+                prod[e == 1] //= self.p
+                e = 1 - e
+            prod = np.column_stack([prod, e])
+        # the first nonzero entry of (c, a, b, d) becomes positive
+        sgn = np.zeros(len(prod), dtype=np.int64)
+        for col in (3, 1, 0, 2):
+            sgn = np.where(prod[:, col] != 0, np.sign(prod[:, col]), sgn)
+        prod[:, :4] *= sgn[:, None]
+        return prod
 
-    def run(self, max_len: int) -> None:
-        frontier = []
-        use_np = True
-        np_frontier = np.array([self.ident], dtype=np.int64)
-        np_last = np.array([-1], dtype=np.int16)
-        for level in range(1, max_len + 1):
-            if use_np:
-                cur_max = int(np.abs(np_frontier).max()) if len(np_frontier) else 0
-                if 2 * cur_max * self.gen_max >= _INT64_GUARD:
-                    frontier = [(tuple(int(x) for x in row), int(ld))
-                                for row, ld in zip(np_frontier, np_last)]
-                    use_np = False
-            if use_np:
-                np_frontier, np_last = self._np_level(np_frontier, np_last, level)
-                if not len(np_frontier):
-                    break
-            else:
-                frontier = self._py_level(frontier, level)
-                if not frontier:
-                    break
-            self.max_level = level
-            if len(self.visited) > self.cap:
-                raise StateExplosion(
-                    f"state count {len(self.visited)} exceeds cap {self.cap}")
+    def np_in_bound(self, arr):
+        scale = arr[:, 4] if self.p is not None else 0
+        return np.abs(arr[:, 0] + arr[:, 3]) <= self.np_limits[scale]
 
-    def _np_level(self, frontier, last, level):
-        parts, part_dirs = [], []
-        for lo, hi in _chunks(len(frontier), self.parallelism):
-            chunk, chunk_last = frontier[lo:hi], last[lo:hi]
-            for j, gen in enumerate(self.dirs_t):
-                mask = chunk_last != self.inv_idx[j]
-                sub = chunk[mask]
-                if not len(sub):
-                    continue
-                prod = self._np_product(sub, gen)
-                parts.append(prod)
-                part_dirs.append(np.full(len(prod), j, dtype=np.int16))
-        if not parts:
-            return (np.empty((0, len(self.ident)), dtype=np.int64),
-                    np.empty(0, dtype=np.int16))
-        cands = np.vstack(parts)
-        cand_dirs = np.concatenate(part_dirs)
-        uniq, first = np.unique(cands, axis=0, return_index=True)
-        uniq_dirs = cand_dirs[first]
-        visited = self.visited
-        keep = np.ones(len(uniq), dtype=bool)
-        for i, row in enumerate(uniq.tolist()):
-            key = tuple(row)
-            if key in visited:
-                keep[i] = False
-            else:
-                visited[key] = level
-        new = uniq[keep]
-        scale = new[:, 4] if self.p is not None else 0
-        in_bound = np.abs(new[:, 0] + new[:, 3]) <= self.np_limits[scale]
-        for row in new[in_bound].tolist():
-            self._record(tuple(row), level)
-        return new, uniq_dirs[keep]
+    def trace_key(self, row):
+        s = abs(row[0] + row[3])
+        if self.p is None or not row[4]:
+            return (s, 0) if s <= self.bound_floor else None
+        m = s // self.p
+        return (0, m) if m <= self.rad_floor else None
 
-    def _py_level(self, frontier, level):
-        cands = {}
-        for state, last in frontier:
-            for j, gen in enumerate(self.dirs_t):
-                if last == self.inv_idx[j]:
-                    continue
-                nxt = self._mul(state, gen)
-                if nxt not in cands:
-                    cands[nxt] = j
-        nxt_frontier = []
-        visited = self.visited
-        for key in sorted(cands):
-            if key in visited:
-                continue
-            visited[key] = level
-            self._record(key, level)
-            nxt_frontier.append((key, cands[key]))
-        return nxt_frontier
-
-    def witness(self, state, level) -> str:
-        word = []
-        cur = state
-        for lvl in range(level, 0, -1):
-            for j in range(len(self.dirs_t)):
-                parent = self._mul(cur, self.dirs_t[self.inv_idx[j]])
-                if self.visited.get(parent) == lvl - 1:
-                    word.append(self.labels[j])
-                    cur = parent
-                    break
-            else:
-                raise AssertionError("witness backtrack failed")
-        return "*".join(reversed(word))
-
-    def result(self) -> EnumerationResult:
-        out = {}
-        for (r, m), (level, state) in sorted(self.traces.items()):
-            out[QuadValue(r, m, self.p or 0)] = self.witness(state, level)
-        return EnumerationResult(out, len(self.visited), self.max_level)
+    def to_qv(self, key):
+        return QuadValue(key[0], key[1], self.p or 0)
 
 
 # -- imaginary quadratic integer matrices ------------------------------------
-
-
-def _ring_constants(d: int):
-    # omega^2 = e1*omega + e0
-    if d % 4 == 3:
-        return 1, -(1 + d) // 4
-    return 0, -d
 
 
 def _pair_entries(g: MoebiusElement, d: int):
@@ -353,290 +225,112 @@ def _pair_entries(g: MoebiusElement, d: int):
     return tuple(row)
 
 
-class _PairSearch:
-    """BFS over matrices with entries u + v*omega in an imaginary ring."""
+class _PairCodec:
+    """Matrices with entries u + v*omega in the integers of Q(sqrt(-d)),
+    stored as rows of eight coordinates (u, v) for a, b, c, d."""
 
-    def __init__(self, gens, d: int, bound: Fraction, cap: int, parallelism: int):
-        dirs, self.labels, self.inv_idx = _directions(gens)
+    def __init__(self, d: int, bound: Fraction):
         self.d = d
-        self.e1, self.e0 = _ring_constants(d)
-        self.dirs_t = [_pair_entries(g, d) for g in dirs]
+        # omega^2 = e1*omega + e0
+        self.e1, self.e0 = (1, -(1 + d) // 4) if d % 4 == 3 else (0, -d)
+        self.growth = 2 + abs(self.e0) + abs(self.e1)
+        self.ident = (1, 0, 0, 0, 0, 0, 1, 0)
         self.bound4_num = 4 * bound.numerator
         self.bound_den = bound.denominator
-        self.cap = cap
-        self.parallelism = max(1, parallelism)
-        self.gen_max = max((max(abs(e) for e in t) for t in self.dirs_t),
-                           default=1)
-        self.visited = {(1, 0, 0, 0, 0, 0, 1, 0): 0}
-        self.traces = {}      # canonical (u, v) -> (level, state)
-        self.max_level = 0
+        # |tu|, |tv| <= 2*sqrt(bound) for every trace tu + tv*omega in bound
+        ceil = -(-bound.numerator // bound.denominator)
+        self.np_limit = 2 * isqrt(max(0, ceil)) + 2
 
-    # ring product of entry pairs
-    def _emul(self, u1, v1, u2, v2):
-        uv = v1 * v2
-        return (u1 * u2 + uv * self.e0, u1 * v2 + v1 * u2 + uv * self.e1)
+    def entries(self, g):
+        return _pair_entries(g, self.d)
 
-    def _mul(self, x, y):
-        au, av, bu, bv, cu, cv, du, dv = x
-        pu, pv, qu, qv_, ru, rv, su, sv = y
-        t1 = self._emul(au, av, pu, pv)
-        t2 = self._emul(bu, bv, ru, rv)
-        a = (t1[0] + t2[0], t1[1] + t2[1])
-        t1 = self._emul(au, av, qu, qv_)
-        t2 = self._emul(bu, bv, su, sv)
-        b = (t1[0] + t2[0], t1[1] + t2[1])
-        t1 = self._emul(cu, cv, pu, pv)
-        t2 = self._emul(du, dv, ru, rv)
-        c = (t1[0] + t2[0], t1[1] + t2[1])
-        t1 = self._emul(cu, cv, qu, qv_)
-        t2 = self._emul(du, dv, su, sv)
-        dd = (t1[0] + t2[0], t1[1] + t2[1])
-        return a + b + c + dd
-
-    def _entry_sign(self, u, v):
+    def _sign(self, u, v):
         # sign of the canonical-positivity functional for u + v*omega
         lead = 2 * u + v if self.d % 4 == 3 else u
-        if lead:
-            return 1 if lead > 0 else -1
-        if v:
-            return 1 if v > 0 else -1
-        return 0
+        return (lead > 0) - (lead < 0) if lead else (v > 0) - (v < 0)
 
-    def _normalize(self, row):
+    def _product(self, x, y):
+        # coordinates of x*y, for x as Python ints or as numpy columns
+        out = []
+        for xu, xv, yu, yv in (x[0:4], x[4:8]):
+            for gu, gv, hu, hv in ((y[0], y[1], y[4], y[5]),
+                                   (y[2], y[3], y[6], y[7])):
+                v12 = xv * gv + yv * hv
+                out.append(xu * gu + yu * hu + v12 * self.e0)
+                out.append(xu * gv + xv * gu + yu * hv + yv * hu
+                           + v12 * self.e1)
+        return out
+
+    def mul(self, x, y):
+        row = self._product(x, y)
         for off in (4, 0, 2, 6):
-            s = self._entry_sign(row[off], row[off + 1])
+            s = self._sign(row[off], row[off + 1])
             if s:
-                return row if s > 0 else tuple(-x for x in row)
-        return row
+                return tuple(row) if s > 0 else tuple(-v for v in row)
+        return tuple(row)
 
-    def _np_mul(self, arr, gen):
-        e0, e1 = self.e0, self.e1
-        pu, pv, qu, qv_, ru, rv, su, sv = gen
-
-        def emul_cols(u1, v1, u2, v2):
-            uv = v1 * v2
-            return u1 * u2 + uv * e0, u1 * v2 + v1 * u2 + uv * e1
-
-        au, av, bu, bv = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-        cu, cv, du, dv = arr[:, 4], arr[:, 5], arr[:, 6], arr[:, 7]
-        cols = []
-        for (xu, xv, yu, yv) in ((au, av, bu, bv), (cu, cv, du, dv)):
-            for (gu, gv, hu, hv) in ((pu, pv, ru, rv), (qu, qv_, su, sv)):
-                m1 = emul_cols(xu, xv, gu, gv)
-                m2 = emul_cols(yu, yv, hu, hv)
-                cols.extend((m1[0] + m2[0], m1[1] + m2[1]))
-        return np.stack(cols, axis=1)
-
-    def _np_normalize(self, arr):
-        if self.d % 4 == 3:
-            lead = lambda off: 2 * arr[:, off] + arr[:, off + 1]
-        else:
-            lead = lambda off: arr[:, off]
+    def np_mul(self, arr, gen):
+        arr = np.stack(self._product(arr.T, gen), axis=1)
+        # the first nonzero entry of (c, a, b, d) becomes canonically positive
         sgn = np.zeros(len(arr), dtype=np.int64)
-        for off in (4, 0, 2, 6):
-            l = lead(off)
-            v = arr[:, off + 1]
-            s = np.where(l != 0, np.sign(l), np.sign(v))
-            sgn = np.where(sgn == 0, s, sgn)
-        sgn = np.where(sgn == 0, 1, sgn)
+        for off in (6, 2, 0, 4):
+            u, v = arr[:, off], arr[:, off + 1]
+            lead = 2 * u + v if self.d % 4 == 3 else u
+            sgn = np.where((u != 0) | (v != 0),
+                           np.where(lead != 0, np.sign(lead), np.sign(v)), sgn)
         return arr * sgn[:, None]
 
-    def _canonical_trace_pair(self, tu, tv):
-        s = self._entry_sign(tu, tv)
-        if s < 0:
-            return (-tu, -tv)
-        return (tu, tv)
+    def np_in_bound(self, arr):
+        tu, tv = arr[:, 0] + arr[:, 6], arr[:, 1] + arr[:, 7]
+        return (np.abs(tu) <= self.np_limit) & (np.abs(tv) <= self.np_limit)
 
-    def _trace_in_bound(self, tu, tv):
+    def trace_key(self, row):
+        tu, tv = row[0] + row[6], row[1] + row[7]
+        if self._sign(tu, tv) < 0:
+            tu, tv = -tu, -tv
         if self.d % 4 == 3:
             x = (2 * tu + tv) ** 2 + self.d * tv * tv
         else:
             x = 4 * (tu * tu + self.d * tv * tv)
-        return x * self.bound_den <= self.bound4_num
+        return (tu, tv) if x * self.bound_den <= self.bound4_num else None
 
-    def run(self, max_len: int) -> None:
-        use_np = True
-        np_frontier = np.array([[1, 0, 0, 0, 0, 0, 1, 0]], dtype=np.int64)
-        np_last = np.array([-1], dtype=np.int16)
-        frontier = []
-        for level in range(1, max_len + 1):
-            if use_np:
-                cur_max = int(np.abs(np_frontier).max()) if len(np_frontier) else 0
-                worst = 2 * cur_max * self.gen_max * (2 + abs(self.e0) + abs(self.e1))
-                if worst >= _INT64_GUARD:
-                    frontier = [(tuple(int(x) for x in row), int(ld))
-                                for row, ld in zip(np_frontier, np_last)]
-                    use_np = False
-            if use_np:
-                np_frontier, np_last = self._np_level(np_frontier, np_last, level)
-                if not len(np_frontier):
-                    break
-            else:
-                frontier = self._py_level(frontier, level)
-                if not frontier:
-                    break
-            self.max_level = level
-            if len(self.visited) > self.cap:
-                raise StateExplosion(
-                    f"state count {len(self.visited)} exceeds cap {self.cap}")
-
-    def _record(self, key, level):
-        tu, tv = key[0] + key[6], key[1] + key[7]
-        ct = self._canonical_trace_pair(tu, tv)
-        if self._trace_in_bound(*ct) and ct not in self.traces:
-            self.traces[ct] = (level, key)
-
-    def _np_level(self, frontier, last, level):
-        parts, part_dirs = [], []
-        for lo, hi in _chunks(len(frontier), self.parallelism):
-            chunk, chunk_last = frontier[lo:hi], last[lo:hi]
-            for j, gen in enumerate(self.dirs_t):
-                mask = chunk_last != self.inv_idx[j]
-                sub = chunk[mask]
-                if not len(sub):
-                    continue
-                prod = self._np_normalize(self._np_mul(sub, gen))
-                parts.append(prod)
-                part_dirs.append(np.full(len(prod), j, dtype=np.int16))
-        if not parts:
-            return np.empty((0, 8), dtype=np.int64), np.empty(0, dtype=np.int16)
-        cands = np.vstack(parts)
-        cand_dirs = np.concatenate(part_dirs)
-        uniq, first = np.unique(cands, axis=0, return_index=True)
-        uniq_dirs = cand_dirs[first]
-        keep = np.ones(len(uniq), dtype=bool)
-        visited = self.visited
-        for i, row in enumerate(uniq.tolist()):
-            key = tuple(row)
-            if key in visited:
-                keep[i] = False
-            else:
-                visited[key] = level
-                self._record(key, level)
-        return uniq[keep], uniq_dirs[keep]
-
-    def _py_level(self, frontier, level):
-        cands = {}
-        for state, last in frontier:
-            for j, gen in enumerate(self.dirs_t):
-                if last == self.inv_idx[j]:
-                    continue
-                nxt = self._normalize(self._mul(state, gen))
-                if nxt not in cands:
-                    cands[nxt] = j
-        out = []
-        for key in sorted(cands):
-            if key in self.visited:
-                continue
-            self.visited[key] = level
-            self._record(key, level)
-            out.append((key, cands[key]))
-        return out
-
-    def witness(self, state, level) -> str:
-        word = []
-        cur = state
-        for lvl in range(level, 0, -1):
-            for j in range(len(self.dirs_t)):
-                inv = self.dirs_t[self.inv_idx[j]]
-                parent = self._normalize(self._mul(cur, inv))
-                if self.visited.get(parent) == lvl - 1:
-                    word.append(self.labels[j])
-                    cur = parent
-                    break
-            else:
-                raise AssertionError("witness backtrack failed")
-        return "*".join(reversed(word))
-
-    def _pair_to_qv(self, tu, tv):
+    def to_qv(self, key):
+        tu, tv = key
         if self.d % 4 == 3:
             return QuadValue(Fraction(2 * tu + tv, 2), Fraction(tv, 2), -self.d)
         return QuadValue(tu, tv, -self.d)
 
-    def result(self) -> EnumerationResult:
-        out = {}
-        for key in sorted(self.traces):
-            level, state = self.traces[key]
-            out[self._pair_to_qv(*key)] = self.witness(state, level)
-        return EnumerationResult(out, len(self.visited), self.max_level)
+
+# -- exact elements ------------------------------------------------------------
 
 
-# -- generic exact kernel ------------------------------------------------------
+class _ExactCodec:
+    """MoebiusElement states, held as (key, element) so that they sort by
+    key.  Trace keys are (rational, radical, radicand)."""
 
+    growth = None    # no integer rows, so no numpy levels
 
-class _GenericSearch:
-    """Exact BFS over MoebiusElement states; used for real-quadratic entries
-    outside the scaled integer encoding, and as the reference in tests."""
-
-    def __init__(self, gens, bound: Fraction, cap: int, parallelism: int):
-        self.dirs, self.labels, self.inv_idx = _directions(gens)
+    def __init__(self, bound: Fraction):
         self.bound = bound
-        self.cap = cap
-        from fordlab.moebius import identity
-        ident = identity()
-        self.visited = {ident.key(): 0}
-        self.elements = {ident.key(): ident}
-        self.traces = {}      # trace sort key -> (QuadValue, level, state key)
-        self.max_level = 0
+        self.ident = self.entries(identity())
 
-    def _trace_bounded(self, t: QuadValue) -> bool:
+    @staticmethod
+    def entries(g):
+        return (g.key(), g)
+
+    def mul(self, x, y):
+        return self.entries(x[1] * y[1])
+
+    def trace_key(self, state):
+        t = state[1].canonical_trace()
         if t.is_real:
-            return abs(t) <= QuadValue(self.bound)
-        return t.abs2() <= self.bound
+            ok = abs(t) <= QuadValue(self.bound)
+        else:
+            ok = t.abs2() <= self.bound
+        return (t.a, t.b, t.m) if ok else None
 
-    def run(self, max_len: int) -> None:
-        frontier = [(next(iter(self.elements.values())), -1)]
-        for level in range(1, max_len + 1):
-            cands = {}
-            for state, last in frontier:
-                for j, gen in enumerate(self.dirs):
-                    if last == self.inv_idx[j]:
-                        continue
-                    nxt = state * gen
-                    k = nxt.key()
-                    if k not in cands:
-                        cands[k] = (nxt, j)
-            nxt_frontier = []
-            for k in sorted(cands):
-                if k in self.visited:
-                    continue
-                elem, j = cands[k]
-                self.visited[k] = level
-                self.elements[k] = elem
-                t = elem.canonical_trace()
-                tk = (t.a, t.b, t.m)
-                if tk not in self.traces and self._trace_bounded(t):
-                    self.traces[tk] = (t, level, k)
-                nxt_frontier.append((elem, j))
-            if not nxt_frontier:
-                break
-            self.max_level = level
-            frontier = nxt_frontier
-            if len(self.visited) > self.cap:
-                raise StateExplosion(
-                    f"state count {len(self.visited)} exceeds cap {self.cap}")
-
-    def witness(self, state_key, level) -> str:
-        word = []
-        cur = self.elements[state_key]
-        for lvl in range(level, 0, -1):
-            for j, gen in enumerate(self.dirs):
-                parent = cur * self.dirs[self.inv_idx[j]]
-                pk = parent.key()
-                if self.visited.get(pk) == lvl - 1:
-                    word.append(self.labels[j])
-                    cur = parent
-                    break
-            else:
-                raise AssertionError("witness backtrack failed")
-        return "*".join(reversed(word))
-
-    def result(self) -> EnumerationResult:
-        out = {}
-        for tk in sorted(self.traces):
-            t, level, key = self.traces[tk]
-            out[t] = self.witness(key, level)
-        return EnumerationResult(out, len(self.visited), self.max_level)
+    def to_qv(self, key):
+        return QuadValue(*key)
 
 
 def _detect_ring_d(gens) -> int | None:
@@ -652,27 +346,153 @@ def _detect_ring_d(gens) -> int | None:
     return d
 
 
-def _make_search(gens, trace_bound: Fraction, state_cap: int, parallelism: int):
-    """The kernel for a generator set: the first encoding that provably fits."""
+def _make_codec(gens, bound: Fraction):
+    """The codec for a generator set: the first encoding that provably fits."""
     if all(_int_entries(g) is not None for g in gens):
-        return _IntSearch(gens, trace_bound, state_cap, parallelism)
+        return _IntCodec(bound)
     p = _atkin_lehner_prime(gens)
     if p is not None:
-        return _IntSearch(gens, trace_bound, state_cap, parallelism, p=p)
+        return _IntCodec(bound, p)
     d = _detect_ring_d(gens)
     if d is not None and all(_pair_entries(g, d) is not None for g in gens):
-        return _PairSearch(gens, d, trace_bound, state_cap, parallelism)
-    return _GenericSearch(gens, trace_bound, state_cap, parallelism)
+        return _PairCodec(d, bound)
+    return _ExactCodec(bound)
+
+
+# -- the driver ----------------------------------------------------------------
+
+
+def _tuples(arr):
+    return [tuple(row) for row in arr.tolist()]
+
+
+def _row_tuple(row):
+    return tuple(row.tolist())
+
+
+def _contains(rows, state) -> bool:
+    """Binary search for a state in a level's lexicographically sorted rows."""
+    key = _row_tuple if isinstance(rows, np.ndarray) else None
+    i = bisect_left(rows, state, key=key)
+    return i < len(rows) and (key(rows[i]) if key else rows[i]) == state
+
+
+class _Search:
+    """Level-synchronous frontier search over the words in a generator set."""
+
+    def __init__(self, codec, gens, cap: int):
+        self.codec = codec
+        dirs, self.labels, self.inv_idx = _directions(gens)
+        self.dirs = [self.codec.entries(g) for g in dirs]
+        self.cap = cap
+        self.levels = []      # per level: its states, sorted
+        self.states = 1
+        self.traces = {}      # trace key -> (level, state)
+        self.max_level = 0
+
+    def run(self, max_len: int) -> None:
+        codec = self.codec
+        use_np = codec.growth is not None
+        if use_np:
+            frontier = np.array([codec.ident], dtype=np.int64)
+            last = np.array([-1], dtype=np.int16)
+            gen_max = max((max(map(abs, row)) for row in self.dirs), default=1)
+        else:
+            frontier, last = [codec.ident], [-1]
+        self.levels.append(frontier)
+        older = set()         # on Python-int levels: the states of level L-2
+        for level in range(1, max_len + 1):
+            if use_np and (2 * int(np.abs(frontier).max()) * gen_max
+                           * codec.growth >= _INT64_GUARD):
+                use_np = False
+                frontier, last = _tuples(frontier), last.tolist()
+                if level > 1:
+                    older = set(_tuples(self.levels[-2]))
+            if use_np:
+                rows, last = self._np_level(frontier, last)
+            else:
+                near = set(frontier)
+                rows, last = self._py_level(frontier, last, older, near)
+                older = near
+            if not len(rows):
+                break
+            self.levels.append(rows)
+            self._record(rows, level)
+            frontier = rows
+            self.states += len(rows)
+            self.max_level = level
+            if self.states > self.cap:
+                raise StateExplosion(
+                    f"state count {self.states} exceeds cap {self.cap}")
+
+    def _np_level(self, frontier, last):
+        parts, part_dirs = [], []
+        for j, gen in enumerate(self.dirs):
+            sub = frontier[last != self.inv_idx[j]]
+            if len(sub):
+                parts.append(self.codec.np_mul(sub, gen))
+                part_dirs.append(np.full(len(sub), j, dtype=np.int16))
+        if not parts:
+            return frontier[:0], last[:0]
+        older = self.levels[-2] if len(self.levels) > 1 else frontier[:0]
+        n_old = len(older) + len(frontier)
+        # stable: within equal rows, the two old levels come first and the
+        # candidates follow in generation order
+        rows = np.concatenate([older, frontier, *parts])
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        keep = order >= n_old
+        keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
+        return rows[keep], np.concatenate(part_dirs)[order[keep] - n_old]
+
+    def _py_level(self, frontier, last, older, near):
+        cands = {}
+        mul, inv_idx = self.codec.mul, self.inv_idx
+        for state, ld in zip(frontier, last):
+            for j, gen in enumerate(self.dirs):
+                if ld != inv_idx[j]:
+                    cands.setdefault(mul(state, gen), j)
+        rows = [k for k in sorted(cands) if k not in near and k not in older]
+        return rows, [cands[k] for k in rows]
+
+    def _record(self, rows, level):
+        if isinstance(rows, np.ndarray):
+            rows = _tuples(rows[self.codec.np_in_bound(rows)])
+        for row in rows:
+            key = self.codec.trace_key(row)
+            if key is not None and key not in self.traces:
+                self.traces[key] = (level, row)
+
+    def witness(self, state, level) -> str:
+        """The word to a state: at each step back, the first direction whose
+        inverse step lands in the level before."""
+        word = []
+        cur = state
+        for lvl in range(level, 0, -1):
+            for j, label in enumerate(self.labels):
+                parent = self.codec.mul(cur, self.dirs[self.inv_idx[j]])
+                if _contains(self.levels[lvl - 1], parent):
+                    word.append(label)
+                    cur = parent
+                    break
+            else:
+                raise AssertionError("witness backtrack failed")
+        return "*".join(reversed(word))
+
+    def result(self) -> EnumerationResult:
+        out = {}
+        for key, (level, state) in sorted(self.traces.items()):
+            out[self.codec.to_qv(key)] = self.witness(state, level)
+        return EnumerationResult(out, self.states, self.max_level)
 
 
 def bfs_enumerate(gens, max_word_len: int, trace_bound: Fraction,
-                  state_cap: int = DEFAULT_STATE_CAP,
-                  parallelism: int = 1) -> EnumerationResult:
+                  state_cap: int = DEFAULT_STATE_CAP) -> EnumerationResult:
     """Enumerate canonical traces of words up to the given length."""
     if not gens:
         raise ValueError("generator list is empty")
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
-    search = _make_search(gens, Fraction(trace_bound), state_cap, parallelism)
+    search = _Search(_make_codec(gens, Fraction(trace_bound)), gens, state_cap)
     search.run(max_word_len)
     return search.result()

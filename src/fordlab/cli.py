@@ -23,7 +23,12 @@ from fordlab.geometry import (
     isometric_disk,
 )
 from fordlab.moebius import MoebiusElement, mm_format, parse_generator_file
-from fordlab.tracesets import StateExplosion, enumerate_traces, trace_sort_key
+from fordlab.tracesets import (
+    StateExplosion,
+    default_state_cap,
+    enumerate_traces,
+    trace_sort_key,
+)
 
 EXIT_VERIFIED = 0
 EXIT_FAILED = 1
@@ -268,26 +273,41 @@ def render_generators_svg(gens) -> str:
 # -- commands ------------------------------------------------------------------
 
 
+def _search_args(args, default_bound):
+    """The checked (bound, state cap) of a command; ValueError on bad input.
+
+    ``--parallelism`` is checked but has no effect.
+    """
+    try:
+        bound = Fraction(default_bound if args.bound is None else args.bound)
+    except ZeroDivisionError:
+        raise ValueError(f"bound {args.bound!r} divides by zero") from None
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    for name in ("max_word", "state_cap", "parallelism"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
+    if args.state_cap is None:
+        return bound, default_state_cap()
+    return bound, args.state_cap
+
+
 def cmd_verify(args) -> int:
     try:
         kind, param = parse_target(args.target)
-        bound = Fraction(args.bound) if args.bound is not None else \
-            (Fraction(40) if kind == "bianchi" else Fraction(50))
+        bound, state_cap = _search_args(args, 40 if kind == "bianchi" else 50)
         max_word = args.max_word
         if max_word is None:
             # half-space enumerations branch much faster per letter
             max_word = 8 if kind == "bianchi" else 12
-        if bound < 0 or max_word < 1:
-            raise UnsupportedParameter("bound and word length must be positive")
         construction = build(kind, param)
     except (UnsupportedParameter, LemmaViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     started = time.monotonic()
     cert = verify_construction(construction, bound, max_word,
-                               horizon=args.horizon,
-                               state_cap=args.state_cap,
-                               parallelism=args.parallelism)
+                               horizon=args.horizon, state_cap=state_cap)
     elapsed = time.monotonic() - started
     report = certificate_report(cert, bound, elapsed,
                                 normalize_timings=args.normalize_timings)
@@ -312,6 +332,11 @@ def cmd_verify(args) -> int:
 
 def cmd_traces(args) -> int:
     try:
+        bound, state_cap = _search_args(args, None)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         with open(args.gens, "r", encoding="utf-8") as fh:
             gens = parse_generator_file(fh.read())
     except OSError as exc:
@@ -324,9 +349,8 @@ def cmd_traces(args) -> int:
         print("parse error: no generators in file", file=sys.stderr)
         return EXIT_DATA
     try:
-        result = enumerate_traces(gens, args.max_word, Fraction(args.bound),
-                                  state_cap=args.state_cap,
-                                  parallelism=args.parallelism)
+        result = enumerate_traces(gens, args.max_word, bound,
+                                  state_cap=state_cap)
     except StateExplosion as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
@@ -397,7 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--svg", default=None)
     p_verify.add_argument("--normalize-timings", action="store_true")
     p_verify.add_argument("--state-cap", type=int, default=None)
-    p_verify.add_argument("--parallelism", type=int, default=1)
+    p_verify.add_argument("--parallelism", type=int, default=1,
+                          help="accepted for compatibility; no effect")
     p_verify.set_defaults(func=cmd_verify)
 
     p_traces = sub.add_parser("traces", help="enumerate traces from a generator file")
@@ -406,7 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_traces.add_argument("--bound", default="50")
     p_traces.add_argument("--out", default=None)
     p_traces.add_argument("--state-cap", type=int, default=None)
-    p_traces.add_argument("--parallelism", type=int, default=1)
+    p_traces.add_argument("--parallelism", type=int, default=1,
+                          help="accepted for compatibility; no effect")
     p_traces.set_defaults(func=cmd_traces)
 
     p_render = sub.add_parser("render", help="render circles and domains as SVG")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from fordlab.exactnum import PrecisionExhausted, QuadValue, qv, sqrt_qv
 from fordlab.geometry import (
@@ -43,6 +43,8 @@ from fordlab.tracesets import (
     Coverage,
     StateExplosion,
     TraceSetModel,
+    _is_prime,
+    _is_square_free,
     coverage_report,
     enumerate_traces,
     expected_set,
@@ -512,18 +514,6 @@ def build(target: str, param: int | None = None, *, naive: bool = False,
     raise UnsupportedParameter(f"unknown target {target!r}")
 
 
-def _is_prime(p) -> bool:
-    if p is None or p < 2:
-        return False
-    return all(p % q for q in range(2, isqrt(p) + 1))
-
-
-def _is_square_free(d) -> bool:
-    if d is None or d < 1:
-        return False
-    return all(d % (q * q) for q in range(2, isqrt(d) + 1))
-
-
 def _modular_strip(gens):
     """The strip from -1 to 4 bounded by the first generator's circles."""
     m, g2 = _split_two_gen(gens)
@@ -744,8 +734,7 @@ def coset_cover_check(d: int) -> CheckRecord:
 def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
                         max_word_len: int = DEFAULT_WORD_LEN,
                         horizon: int = DEFAULT_HORIZON,
-                        state_cap: int | None = None,
-                        parallelism: int = 1) -> Certificate:
+                        state_cap: int | None = None) -> Certificate:
     """Run every exact check for a construction and assemble the verdict."""
     bound = Fraction(bound)
     lemma_results: list[CheckRecord] = []
@@ -830,15 +819,14 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
         union = {}
         for sub in construction.subgroups:
             result = enumerate_traces(sub.gens, max_word_len, bound,
-                                      state_cap=state_cap,
-                                      parallelism=parallelism)
+                                      state_cap=state_cap)
             stats["states"] += result.states_explored
             stats["max_len"] = max(stats["max_len"], result.max_len_reached)
             for t, w in result.traces.items():
                 union.setdefault(t, f"{sub.label}:{w}")
         cross_len = min(max_word_len, CROSS_CHECK_LEN)
         cross = enumerate_traces(construction.combined_gens, cross_len, bound,
-                                 state_cap=state_cap, parallelism=parallelism)
+                                 state_cap=state_cap)
         stats["states"] += cross.states_explored
         for t, w in cross.traces.items():
             union.setdefault(t, f"H:{w}")

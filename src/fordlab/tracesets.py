@@ -41,13 +41,17 @@ class NotHyperbolic(ValueError):
 
 
 def default_state_cap() -> int:
+    """The state cap from FORDLAB_STATE_CAP, or the default when it is unset."""
     raw = os.environ.get(STATE_CAP_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_STATE_CAP
+    if not raw:
+        return DEFAULT_STATE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{STATE_CAP_ENV}={raw!r} is not a positive integer")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -75,24 +79,16 @@ class TraceSetModel:
             raise ValueError("bianchi model needs square-free d >= 1")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+def _is_prime(p) -> bool:
+    if p is None or p < 2:
         return False
-    for q in range(2, isqrt(p) + 1):
-        if p % q == 0:
-            return False
-    return True
+    return all(p % q for q in range(2, isqrt(p) + 1))
 
 
-def _is_square_free(d: int) -> bool:
-    if d < 1:
+def _is_square_free(d) -> bool:
+    if d is None or d < 1:
         return False
-    q = 2
-    while q * q <= d:
-        if d % (q * q) == 0:
-            return False
-        q += 1
-    return True
+    return all(d % (q * q) for q in range(2, isqrt(d) + 1))
 
 
 def unit_residue_traces(n: int) -> set[int]:
@@ -186,12 +182,13 @@ def enumerate_traces(gens, max_word_len: int, trace_bound,
                      parallelism: int = 1) -> EnumerationResult:
     """Breadth-first trace collection over words in the generators.
 
-    States are deduplicated by sign-normalized matrix; the result is
-    deterministic and independent of the frontier chunking degree.
+    States are deduplicated by sign-normalized matrix; the result, witness
+    words included, is deterministic.  ``parallelism`` is accepted for
+    compatibility and has no effect.
     """
     cap = default_state_cap() if state_cap is None else state_cap
     return bfs_enumerate(list(gens), max_word_len, Fraction(trace_bound),
-                         state_cap=cap, parallelism=parallelism)
+                         state_cap=cap)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,32 @@ def test_traces_deterministic_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "--target", "modular", "--bound", "1/0"], None),
+    (["verify", "--target", "modular", "--bound", "-3"], None),
+    (["verify", "--target", "modular", "--max-word", "0"], None),
+    (["verify", "--target", "modular", "--state-cap", "0"], None),
+    (["verify", "--target", "modular", "--parallelism", "0"], None),
+    (["verify", "--target", "modular"], "oops"),
+    (["traces", "G", "--bound", "1/0"], None),
+    (["traces", "G", "--bound", "-3"], None),
+    (["traces", "G", "--bound", "abc"], None),
+    (["traces", "G", "--max-word", "0"], None),
+    (["traces", "G", "--state-cap", "0"], None),
+    (["traces", "G", "--parallelism", "0"], None),
+    (["traces", "G"], "-3"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else f"env={v}")
+def test_bad_search_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, env):
+    gens = tmp_path / "g.txt"
+    gens.write_text("[[1,1],[0,1]]\n")
+    if env is not None:
+        monkeypatch.setenv("FORDLAB_STATE_CAP", env)
+    assert run([str(gens) if a == "G" else a for a in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_traces_state_cap(tmp_path):
     gens = tmp_path / "g.txt"
     gens.write_text("[[1,-1],[1,0]]\n[[1,5],[0,1]]\n")

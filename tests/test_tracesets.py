@@ -1,8 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fordlab._bfs import DEFAULT_STATE_CAP, _GenericSearch, _IntSearch, _make_search
+from fordlab._bfs import (
+    DEFAULT_STATE_CAP,
+    _ExactCodec,
+    _IntCodec,
+    _make_codec,
+    _PairCodec,
+    _Search,
+)
 from fordlab.exactnum import QuadValue
 from fordlab.moebius import MoebiusElement, bianchi_omega, from_ints, identity
 from fordlab.tracesets import (
@@ -126,17 +135,86 @@ def test_generic_kernel_matches_int_kernel():
     assert {str(t) for t in fast.traces} == {str(t) for t in slow.traces}
 
 
-def _generic_result(gens, max_len, bound):
-    search = _GenericSearch(gens, Fraction(bound), DEFAULT_STATE_CAP, 1)
+def _exact_result(gens, max_len, bound):
+    search = _Search(_ExactCodec(Fraction(bound)), gens, DEFAULT_STATE_CAP)
     search.run(max_len)
     return search.result()
 
 
+def _reference_enumerate(gens, max_len, bound):
+    """Reference BFS sharing no code with fordlab._bfs: one global visited
+    dict over MoebiusElement products, each level's new states taken in
+    sorted key order, and the same witness rule (the first direction whose
+    inverse step lands in the level before).  The bound caps |t|^2 when an
+    entry is imaginary, |t| otherwise.  Returns (traces, states,
+    max_len_reached)."""
+    bound = Fraction(bound)
+    modulus = any(v.m < 0 for g in gens for v in (g.a, g.b, g.c, g.d))
+    dirs, labels = [], []
+    for i, g in enumerate(gens):
+        for elem, label in ((g, f"g{i}"), (g.inv(), f"g{i}^-1")):
+            if not elem.is_identity() and elem not in dirs:
+                dirs.append(elem)
+                labels.append(label)
+    visited = {identity(): 0}
+    frontier, found, reached = [identity()], {}, 0
+    for level in range(1, max_len + 1):
+        new = {x * g for x in frontier for g in dirs} - visited.keys()
+        if not new:
+            break
+        frontier = sorted(new, key=MoebiusElement.key)
+        for y in frontier:
+            visited[y] = level
+            t = y.canonical_trace()
+            if t.abs2() <= bound if modulus else abs(t) <= QuadValue(bound):
+                found.setdefault(t, y)
+        reached = level
+
+    def word(y):
+        letters = []
+        for lvl in range(visited[y], 0, -1):
+            j = next(j for j, g in enumerate(dirs)
+                     if visited.get(y * g.inv()) == lvl - 1)
+            letters.append(labels[j])
+            y = y * dirs[j].inv()
+        return "*".join(reversed(letters))
+
+    return {t: word(y) for t, y in found.items()}, len(visited), reached
+
+
+def _assert_matches_reference(gens, result, max_len, bound, same_words=True):
+    """Traces, states and depth equal the reference's, and every witness
+    replays to its trace with the reference's (shortest) length.  Words are
+    equal too when the encoding sorts states in MoebiusElement key order."""
+    traces, states, reached = _reference_enumerate(gens, max_len, bound)
+    assert result.states_explored == states
+    assert result.max_len_reached == reached
+    assert set(result.traces) == set(traces)
+    for t, word in result.traces.items():
+        assert _word_trace(gens, word) == t
+        assert word.count("*") == traces[t].count("*")
+    if same_words:
+        assert result.traces == traces
+
+
+def _spy_py_levels(monkeypatch):
+    """Record the codec type of every Python-int level the driver runs."""
+    codecs = []
+    py_level = _Search._py_level
+
+    def spy(self, *args):
+        codecs.append(type(self.codec))
+        return py_level(self, *args)
+
+    monkeypatch.setattr(_Search, "_py_level", spy)
+    return codecs
+
+
 def _assert_normalizer_kernel_matches_generic(gens, p, max_len, bound):
-    search = _make_search(gens, Fraction(bound), DEFAULT_STATE_CAP, 1)
-    assert isinstance(search, _IntSearch) and search.p == p
+    codec = _make_codec(gens, Fraction(bound))
+    assert isinstance(codec, _IntCodec) and codec.p == p
     fast = enumerate_traces(gens, max_len, bound)
-    slow = _generic_result(gens, max_len, bound)
+    slow = _exact_result(gens, max_len, bound)
     assert set(fast.traces) == set(slow.traces)
     assert fast.states_explored == slow.states_explored
     assert fast.max_len_reached == slow.max_len_reached
@@ -149,22 +227,17 @@ def test_normalizer_kernel_matches_generic_w1():
     from fordlab.constructions import sqrt_p_generators
     w1_gens = sqrt_p_generators(2)[1]
     _assert_normalizer_kernel_matches_generic(w1_gens, 2, 6, 15)
+    _assert_matches_reference(w1_gens, enumerate_traces(w1_gens, 6, 15), 6, 15,
+                              same_words=False)
 
 
 def test_normalizer_kernel_matches_generic_past_int64(monkeypatch):
     # level 4 of the p = 7 cross-check leaves int64 and divides Python ints
     from fordlab.constructions import build
-    py_levels = []
-    py_level = _IntSearch._py_level
-
-    def spy(self, frontier, level):
-        py_levels.append(level)
-        return py_level(self, frontier, level)
-
-    monkeypatch.setattr(_IntSearch, "_py_level", spy)
+    codecs = _spy_py_levels(monkeypatch)
     gens = build("normalizer", 7).combined_gens
     _assert_normalizer_kernel_matches_generic(gens, 7, 4, 27)
-    assert py_levels
+    assert _IntCodec in codecs
 
 
 def _scaled(p, a, b, c, d):
@@ -180,20 +253,55 @@ def _scaled(p, a, b, c, d):
     [_scaled(5, 1, 1, -1, 4), T5],
 ], ids=["conjugated", "not_gamma0", "not_atkin_lehner"])
 def test_unproven_real_quadratic_sets_use_generic_kernel(gens):
-    search = _make_search(gens, Fraction(30), DEFAULT_STATE_CAP, 1)
-    assert isinstance(search, _GenericSearch)
+    assert isinstance(_make_codec(gens, Fraction(30)), _ExactCodec)
 
 
 def test_pair_kernel_matches_generic_small():
-    om = bianchi_omega(3)
-    gens = [MoebiusElement(om, -1, 1, 0), from_ints(1, 3, 0, 1)]
-    fast = enumerate_traces(gens, 5, 20)
-    # generic path via a determinant-preserving change of sign structure is
-    # hard to force directly; instead re-run with parallelism and deep-check
-    again = enumerate_traces(gens, 5, 20, parallelism=4)
-    assert {str(t) for t in fast.traces} == {str(t) for t in again.traces}
-    assert QuadValue(2) in fast.traces
-    assert om in fast.traces or (-om) in fast.traces
+    for d in (1, 2, 3, 7):
+        om = bianchi_omega(d)
+        gens = [MoebiusElement(om, -1, 1, 0), from_ints(1, 3, 0, 1)]
+        assert isinstance(_make_codec(gens, Fraction(20)), _PairCodec)
+        fast = enumerate_traces(gens, 5, 20)
+        # ring coordinates (u - v, 2v) sort apart from the key order when
+        # d = 3 mod 4, so there only the word lengths must agree
+        _assert_matches_reference(gens, fast, 5, 20, same_words=d % 4 != 3)
+        assert QuadValue(2) in fast.traces
+        assert om in fast.traces or (-om) in fast.traces
+
+
+def test_pair_kernel_matches_reference_past_int64(monkeypatch):
+    # level 2 still fits int64; the guard moves levels 3 and 4 onto Python ints
+    codecs = _spy_py_levels(monkeypatch)
+    om = bianchi_omega(1)
+    gens = [MoebiusElement(om, -1, 1, 0), from_ints(1, 0, 1 << 29, 1),
+            MoebiusElement(1, om, 0, 1)]
+    _assert_matches_reference(gens, enumerate_traces(gens, 4, 20), 4, 20)
+    assert codecs.count(_PairCodec) == 2
+
+
+def _sl2z(word):
+    g = identity()
+    for kind, n in word:
+        g = g * {"T": from_ints(1, n, 0, 1), "L": from_ints(1, 0, n, 1),
+                 "S": S}[kind]
+    return g
+
+
+# entries up to 2**40 leave int64 at level 2 or 3, small ones stay on numpy
+_SL2Z = st.lists(st.tuples(st.sampled_from("TLS"),
+                           st.integers(-4, 4) | st.integers(-(1 << 40), 1 << 40)),
+                 min_size=1, max_size=3).map(_sl2z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=st.lists(_SL2Z, min_size=1, max_size=3),
+       max_len=st.integers(1, 4), bound=st.integers(0, 40))
+def test_driver_matches_reference_on_random_sl2z(gens, max_len, bound):
+    assert isinstance(_make_codec(gens, Fraction(bound)), _IntCodec)
+    _assert_matches_reference(gens, enumerate_traces(gens, max_len, bound),
+                              max_len, bound)
+    _assert_matches_reference(gens, _exact_result(gens, max_len, bound),
+                              max_len, bound)
 
 
 def test_state_cap_raises():
@@ -207,6 +315,12 @@ def test_state_cap_env_override(monkeypatch):
     assert default_state_cap() == 40
     with pytest.raises(StateExplosion):
         enumerate_traces([from_ints(1, -1, 1, 0), T5], 10, 10)
+    for bad in ("oops", "0", "-3"):
+        monkeypatch.setenv("FORDLAB_STATE_CAP", bad)
+        with pytest.raises(ValueError, match="FORDLAB_STATE_CAP"):
+            default_state_cap()
+        with pytest.raises(ValueError, match="FORDLAB_STATE_CAP"):
+            enumerate_traces([T5], 2, 10)
 
 
 def test_coverage_report():
