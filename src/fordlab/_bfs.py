@@ -18,10 +18,13 @@ A ring codec encodes the states:
 * ``_ExactCodec``: MoebiusElement states, for input with no proven integer
   encoding.
 
-Integer rows run on int64 numpy levels while a per-level guard proves that
-no product can overflow, and on exact Python-int levels from then on.  The
-row order of a level decides which state becomes a trace's witness, and it
-is the same on both kinds of level, so results are deterministic.
+Integer rows run on three kinds of level, each taken while a per-level
+guard proves that the next products fit it: int64 numpy rows; two-limb
+numpy rows, which hold each coordinate x as the int64 pair
+(x >> 31, x & (2**31 - 1)); and exact Python ints from then on.  Two-limb
+rows sort by their limbs in the numeric order of their coordinates, so the
+row order of a level, which decides which state becomes a trace's witness,
+is the same on every kind of level and results are deterministic.
 """
 
 from __future__ import annotations
@@ -36,6 +39,12 @@ from fordlab.exactnum import QuadValue
 from fordlab.moebius import MoebiusElement, identity, omega_coords
 
 _INT64_GUARD = 1 << 61
+# two-limb levels (see _Search._kind): the bound on the products' entries,
+# and on the generator entries and ring constants that multiply limbs
+_WIDE_GUARD = 1 << 91
+_WIDE_FACTOR = 1 << 30
+_LIMB_BITS = 31
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 DEFAULT_STATE_CAP = 5_000_000
 
 
@@ -69,6 +78,116 @@ def _directions(gens):
             labels.append(label)
     inv_idx = [seen[d.inv().key()] for d in dirs]
     return dirs, labels, inv_idx
+
+
+# -- numpy columns -------------------------------------------------------------
+
+
+class _Limbs:
+    """A column of integers x = hi * 2**31 + lo, 0 <= lo < 2**31, held as two
+    int64 arrays.
+
+    It supports what the codecs' numpy formulas use: +, unary -, int - x,
+    * by a Python int or an int64 array of factors below 2**31 in absolute
+    value, // by positive divisors below 2**32, abs, <= and ``sign``.  Every
+    result is normalized again, so a value has one representation and the
+    limb pairs (hi, lo) order like the values.  The caller bounds the
+    values (see ``_Search._kind``).
+    """
+
+    __slots__ = ("hi", "lo")
+
+    def __init__(self, hi, lo):
+        self.hi, self.lo = hi, lo
+
+    @staticmethod
+    def _carry(hi, lo):
+        return _Limbs(hi + (lo >> _LIMB_BITS), lo & _LIMB_MASK)
+
+    @staticmethod
+    def _of(y):
+        if isinstance(y, _Limbs):
+            return y
+        return _Limbs(np.int64(y >> _LIMB_BITS), np.int64(y & _LIMB_MASK))
+
+    def __add__(self, y):
+        y = self._of(y)
+        return self._carry(self.hi + y.hi, self.lo + y.lo)
+
+    def __neg__(self):
+        return self._carry(-self.hi, -self.lo)
+
+    def __rsub__(self, y):
+        return self._of(y) + -self
+
+    def __mul__(self, k):
+        return self._carry(self.hi * k, self.lo * k)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, q):
+        hi, r = np.divmod(self.hi, q)
+        return _Limbs(hi, ((r << _LIMB_BITS) | self.lo) // q)
+
+    def __abs__(self):
+        return self * self.sign()
+
+    def __le__(self, limit):
+        lim_hi, lim_lo = limit >> _LIMB_BITS, limit & _LIMB_MASK
+        return (self.hi < lim_hi) | ((self.hi == lim_hi) & (self.lo <= lim_lo))
+
+    def sign(self):
+        return np.where(self.hi != 0, np.sign(self.hi), np.sign(self.lo))
+
+
+def _sign(col):
+    """The elementwise sign of an int64 or a limb column."""
+    return col.sign() if isinstance(col, _Limbs) else np.sign(col)
+
+
+def _columns(rows, width):
+    """The coordinate columns of numpy rows: int64 arrays, or limb columns
+    when the rows have two limbs per coordinate."""
+    if rows.shape[1] == width:
+        return list(rows.T)
+    return [_Limbs(rows[:, i], rows[:, i + 1])
+            for i in range(0, rows.shape[1], 2)]
+
+
+def _stack(cols):
+    """Rows from columns, two limbs per coordinate for limb columns."""
+    if isinstance(cols[0], _Limbs):
+        cols = [half for col in cols for half in (col.hi, col.lo)]
+    return np.stack(cols, axis=1)
+
+
+def _widen(rows):
+    """int64 rows as two-limb rows."""
+    out = np.empty((len(rows), 2 * rows.shape[1]), dtype=np.int64)
+    out[:, 0::2] = rows >> _LIMB_BITS
+    out[:, 1::2] = rows & _LIMB_MASK
+    return out
+
+
+def _narrow(rows):
+    """Two-limb rows as tuples of Python ints."""
+    x = ((rows[:, 0::2].astype(object) << _LIMB_BITS)
+         + rows[:, 1::2].astype(object))
+    return [tuple(row) for row in x.tolist()]
+
+
+def _sort_keys(rows, width):
+    """``np.lexsort`` keys that order numpy rows numerically, last key
+    first.  A two-limb coordinate whose values all fit int64 is one key."""
+    if rows.shape[1] == width:
+        return rows.T[::-1]
+    hi, lo = rows[:, 0::2], rows[:, 1::2]
+    fits = np.abs(hi).max(axis=0) < 1 << (62 - _LIMB_BITS)
+    joined = (hi << _LIMB_BITS) | lo     # the values, where they fit
+    keys = []
+    for i, fit in enumerate(fits):
+        keys += [joined[:, i]] if fit else [hi[:, i], lo[:, i]]
+    return keys[::-1]
 
 
 # -- integer matrices, optionally scaled by 1/sqrt(p) ----------------------
@@ -147,11 +266,6 @@ class _IntCodec:
         if p is not None and bound >= 0:
             self.rad_floor = isqrt(bound.numerator ** 2
                                    // (p * bound.denominator ** 2))
-        # |a + d| limit per e, clipped to int64 (the guard keeps |a + d| < 2**62)
-        self.np_limits = np.array(
-            [max(-1, min(lim, 1 << 62))
-             for lim in (self.bound_floor, self.rad_floor * (p or 1))],
-            dtype=np.int64)
 
     def entries(self, g):
         row = _int_entries(g)
@@ -179,24 +293,30 @@ class _IntCodec:
                 break
         return tuple(row) if self.p is None else (*row, x[4] ^ y[4])
 
-    def np_mul(self, arr, gen):
-        prod = np.stack(self._product(arr.T, gen), axis=1)
+    def np_mul(self, cols, gen):
+        # the columns of the canonical rows x*gen, for int64 or limb columns
+        prod = self._product(cols, gen)
         if self.p is not None:
-            e = arr[:, 4]
+            e = cols[4]
             if gen[4]:
-                prod[e == 1] //= self.p
+                # e is 0 or 1: divide the rows of two scaled states by p
+                prod = [v // (1 + (self.p - 1) * _sign(e)) for v in prod]
                 e = 1 - e
-            prod = np.column_stack([prod, e])
+            prod.append(e)
         # the first nonzero entry of (c, a, b, d) becomes positive
-        sgn = np.zeros(len(prod), dtype=np.int64)
+        sgn = 0
         for col in (3, 1, 0, 2):
-            sgn = np.where(prod[:, col] != 0, np.sign(prod[:, col]), sgn)
-        prod[:, :4] *= sgn[:, None]
-        return prod
+            s = _sign(prod[col])
+            sgn = np.where(s != 0, s, sgn)
+        return [v * sgn for v in prod[:4]] + prod[4:]
 
-    def np_in_bound(self, arr):
-        scale = arr[:, 4] if self.p is not None else 0
-        return np.abs(arr[:, 0] + arr[:, 3]) <= self.np_limits[scale]
+    def np_in_bound(self, cols):
+        # numpy compares int64 with Python ints of any size exactly
+        size = abs(cols[0] + cols[3])
+        if self.p is None:
+            return size <= self.bound_floor
+        return np.where(_sign(cols[4]) > 0, size <= self.rad_floor * self.p,
+                        size <= self.bound_floor)
 
     def trace_key(self, row):
         s = abs(row[0] + row[3])
@@ -269,20 +389,21 @@ class _PairCodec:
                 return tuple(row) if s > 0 else tuple(-v for v in row)
         return tuple(row)
 
-    def np_mul(self, arr, gen):
-        arr = np.stack(self._product(arr.T, gen), axis=1)
+    def np_mul(self, cols, gen):
+        # the columns of the canonical rows x*gen, for int64 or limb columns
+        prod = self._product(cols, gen)
         # the first nonzero entry of (c, a, b, d) becomes canonically positive
-        sgn = np.zeros(len(arr), dtype=np.int64)
+        sgn = 0
         for off in (6, 2, 0, 4):
-            u, v = arr[:, off], arr[:, off + 1]
-            lead = 2 * u + v if self.d % 4 == 3 else u
-            sgn = np.where((u != 0) | (v != 0),
-                           np.where(lead != 0, np.sign(lead), np.sign(v)), sgn)
-        return arr * sgn[:, None]
+            u, v = prod[off], prod[off + 1]
+            lead = _sign(2 * u + v if self.d % 4 == 3 else u)
+            s = np.where(lead != 0, lead, _sign(v))
+            sgn = np.where(s != 0, s, sgn)
+        return [v * sgn for v in prod]
 
-    def np_in_bound(self, arr):
-        tu, tv = arr[:, 0] + arr[:, 6], arr[:, 1] + arr[:, 7]
-        return (np.abs(tu) <= self.np_limit) & (np.abs(tv) <= self.np_limit)
+    def np_in_bound(self, cols):
+        tu, tv = cols[0] + cols[6], cols[1] + cols[7]
+        return (abs(tu) <= self.np_limit) & (abs(tv) <= self.np_limit)
 
     def trace_key(self, row):
         tu, tv = row[0] + row[6], row[1] + row[7]
@@ -306,12 +427,15 @@ class _PairCodec:
 
 class _ExactCodec:
     """MoebiusElement states, held as (key, element) so that they sort by
-    key.  Trace keys are (rational, radical, radicand)."""
+    key.  Trace keys are (rational, radical, radicand).  With ``modulus``
+    (the generators have an imaginary entry) the bound caps |t|^2 of every
+    trace, as for Bianchi groups; otherwise it caps |t| of a real trace."""
 
     growth = None    # no integer rows, so no numpy levels
 
-    def __init__(self, bound: Fraction):
+    def __init__(self, bound: Fraction, modulus: bool):
         self.bound = bound
+        self.modulus = modulus
         self.ident = self.entries(identity())
 
     @staticmethod
@@ -323,10 +447,10 @@ class _ExactCodec:
 
     def trace_key(self, state):
         t = state[1].canonical_trace()
-        if t.is_real:
-            ok = abs(t) <= QuadValue(self.bound)
-        else:
+        if self.modulus or not t.is_real:
             ok = t.abs2() <= self.bound
+        else:
+            ok = abs(t) <= QuadValue(self.bound)
         return (t.a, t.b, t.m) if ok else None
 
     def to_qv(self, key):
@@ -356,10 +480,13 @@ def _make_codec(gens, bound: Fraction):
     d = _detect_ring_d(gens)
     if d is not None and all(_pair_entries(g, d) is not None for g in gens):
         return _PairCodec(d, bound)
-    return _ExactCodec(bound)
+    modulus = any(v.m < 0 for g in gens for v in (g.a, g.b, g.c, g.d))
+    return _ExactCodec(bound, modulus)
 
 
 # -- the driver ----------------------------------------------------------------
+
+_INT64, _WIDE, _PY = "int64", "two-limb", "python"
 
 
 def _tuples(arr):
@@ -370,9 +497,17 @@ def _row_tuple(row):
     return tuple(row.tolist())
 
 
+def _wide_row_tuple(row):
+    hi, lo = row[0::2].tolist(), row[1::2].tolist()
+    return tuple((h << _LIMB_BITS) + x for h, x in zip(hi, lo))
+
+
 def _contains(rows, state) -> bool:
-    """Binary search for a state in a level's lexicographically sorted rows."""
-    key = _row_tuple if isinstance(rows, np.ndarray) else None
+    """Binary search for a state in a level's lexicographically sorted rows:
+    Python-int states, int64 rows or two-limb rows."""
+    key = None
+    if isinstance(rows, np.ndarray):
+        key = _row_tuple if rows.shape[1] == len(state) else _wide_row_tuple
     i = bisect_left(rows, state, key=key)
     return i < len(rows) and (key(rows[i]) if key else rows[i]) == state
 
@@ -384,36 +519,75 @@ class _Search:
         self.codec = codec
         dirs, self.labels, self.inv_idx = _directions(gens)
         self.dirs = [self.codec.entries(g) for g in dirs]
+        self.width = len(codec.ident)    # coordinates per integer row
         self.cap = cap
         self.levels = []      # per level: its states, sorted
         self.states = 1
         self.traces = {}      # trace key -> (level, state)
         self.max_level = 0
 
+    def _kind(self, kind, frontier):
+        """The kind of the next level: the first of int64, two-limb and
+        Python-int levels, not before ``kind``, whose guard holds.
+
+        With F bounding the frontier's entries, G the generators' and
+        P = 2*F*G*growth, every entry of a product is at most P and every
+        value that np_mul and np_in_bound compute at most 2*P.  So int64
+        levels need P < 2**61.  On a two-limb level a value y has
+        |hi| <= |y| / 2**31 + 1; each product y*k by a factor |k| < 2**30
+        (a generator entry, a ring constant, 2 or a sign) is itself such a
+        value, so |hi*k| <= 2*P / 2**31 + 2**30, |lo*k| < 2**61 and the
+        carries are at most 2**30.  P < 2**91 keeps all of these, and the
+        sums of two limbs, below 2**63.  The Atkin-Lehner p divides an
+        entry of a generator, so p <= G.
+        """
+        if kind is _PY:
+            return _PY
+        if frontier.shape[1] == self.width:
+            f = int(np.abs(frontier).max())
+        else:
+            f = (int(np.abs(frontier[:, 0::2]).max()) + 1) << _LIMB_BITS
+        growth = self.codec.growth
+        bound = 2 * f * self.gen_max * growth
+        if kind is _INT64 and bound < _INT64_GUARD:
+            return _INT64
+        if max(self.gen_max, growth) < _WIDE_FACTOR and bound < _WIDE_GUARD:
+            return _WIDE
+        return _PY
+
+    def _py_rows(self, rows):
+        # numpy rows as tuples of Python ints
+        return _tuples(rows) if rows.shape[1] == self.width else _narrow(rows)
+
     def run(self, max_len: int) -> None:
         codec = self.codec
-        use_np = codec.growth is not None
-        if use_np:
+        if codec.growth is None:
+            kind, frontier, last, older = _PY, [codec.ident], [-1], set()
+        else:
+            kind = _INT64
             frontier = np.array([codec.ident], dtype=np.int64)
             last = np.array([-1], dtype=np.int16)
-            gen_max = max((max(map(abs, row)) for row in self.dirs), default=1)
-        else:
-            frontier, last = [codec.ident], [-1]
+            older = frontier[:0]
+            self.gen_max = max((max(map(abs, row)) for row in self.dirs),
+                               default=1)
         self.levels.append(frontier)
-        older = set()         # on Python-int levels: the states of level L-2
+        # older is level L-2 in the form of the frontier: rows on numpy
+        # levels, a set of states on Python-int levels
         for level in range(1, max_len + 1):
-            if use_np and (2 * int(np.abs(frontier).max()) * gen_max
-                           * codec.growth >= _INT64_GUARD):
-                use_np = False
-                frontier, last = _tuples(frontier), last.tolist()
-                if level > 1:
-                    older = set(_tuples(self.levels[-2]))
-            if use_np:
-                rows, last = self._np_level(frontier, last)
-            else:
+            step = self._kind(kind, frontier)
+            if step is _WIDE and kind is _INT64:
+                frontier, older = _widen(frontier), _widen(older)
+            elif step is _PY and kind is not _PY:
+                frontier, last = self._py_rows(frontier), last.tolist()
+                older = set(self._py_rows(older))
+            kind = step
+            if kind is _PY:
                 near = set(frontier)
                 rows, last = self._py_level(frontier, last, older, near)
                 older = near
+            else:
+                rows, last = self._np_level(frontier, last, older)
+                older = frontier
             if not len(rows):
                 break
             self.levels.append(rows)
@@ -425,25 +599,27 @@ class _Search:
                 raise StateExplosion(
                     f"state count {self.states} exceeds cap {self.cap}")
 
-    def _np_level(self, frontier, last):
+    def _np_level(self, frontier, last, older):
         parts, part_dirs = [], []
         for j, gen in enumerate(self.dirs):
             sub = frontier[last != self.inv_idx[j]]
             if len(sub):
-                parts.append(self.codec.np_mul(sub, gen))
+                cols = self.codec.np_mul(_columns(sub, self.width), gen)
+                parts.append(_stack(cols))
                 part_dirs.append(np.full(len(sub), j, dtype=np.int16))
         if not parts:
             return frontier[:0], last[:0]
-        older = self.levels[-2] if len(self.levels) > 1 else frontier[:0]
         n_old = len(older) + len(frontier)
         # stable: within equal rows, the two old levels come first and the
         # candidates follow in generation order
         rows = np.concatenate([older, frontier, *parts])
-        order = np.lexsort(rows.T[::-1])
+        dirs = np.concatenate(part_dirs)
+        del parts, part_dirs, cols    # free the candidates early
+        order = np.lexsort(_sort_keys(rows, self.width))
         rows = rows[order]
         keep = order >= n_old
         keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
-        return rows[keep], np.concatenate(part_dirs)[order[keep] - n_old]
+        return rows[keep], dirs[order[keep] - n_old]
 
     def _py_level(self, frontier, last, older, near):
         cands = {}
@@ -457,7 +633,8 @@ class _Search:
 
     def _record(self, rows, level):
         if isinstance(rows, np.ndarray):
-            rows = _tuples(rows[self.codec.np_in_bound(rows)])
+            cols = _columns(rows, self.width)
+            rows = self._py_rows(rows[self.codec.np_in_bound(cols)])
         for row in rows:
             key = self.codec.trace_key(row)
             if key is not None and key not in self.traces:

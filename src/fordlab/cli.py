@@ -35,6 +35,7 @@ EXIT_FAILED = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 EXIT_IO = 74
 
 SCHEMA_VERSION = "1"
@@ -351,12 +352,10 @@ def cmd_traces(args) -> int:
     try:
         result = enumerate_traces(gens, args.max_word, bound,
                                   state_cap=state_cap)
-    except StateExplosion as exc:
+    except (StateExplosion, PrecisionExhausted) as exc:
+        # the search was cut short: no answer, as for an Undecided verify
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except PrecisionExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        return EXIT_UNDECIDED
     lines = [f"trace {qv_format(t)} word {word}"
              for t, word in sorted(result.traces.items(),
                                    key=lambda kv: trace_sort_key(kv[0]))]
@@ -450,7 +449,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # a fault of the program, never a Failed verdict
+        detail = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ Rational = Fraction
 
 GREATER = 1
 EQUAL = 0
-LESS = -1
 
 _INTERVAL_START_BITS = 64
 _INTERVAL_MAX_BITS = 2 ** 16
@@ -203,10 +202,6 @@ class RadicalExpr:
     def __sub__(self, other) -> RadicalExpr:
         return self + (-other if isinstance(other, RadicalExpr)
                        else RadicalExpr(-_frac(other)))
-
-    def scaled(self, k) -> RadicalExpr:
-        k = _frac(k)
-        return RadicalExpr(self.base * k, tuple((c * k, r) for c, r in self.terms))
 
     def interval(self, bits: int) -> tuple[Fraction, Fraction]:
         lo, hi = self.base, self.base

@@ -87,9 +87,6 @@ class IsometricDisk:
     radius_sq: Fraction
     owner: MoebiusElement
 
-    def radius_qv(self) -> QuadValue:
-        return sqrt_qv(self.radius_sq)
-
     def same_circle(self, other: IsometricDisk) -> bool:
         return self.center == other.center and self.radius_sq == other.radius_sq
 

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import fordlab.cli
 from fordlab.cli import (
     EXIT_DATA,
     EXIT_FAILED,
+    EXIT_SOFTWARE,
     EXIT_UNDECIDED,
     EXIT_USAGE,
     EXIT_VERIFIED,
@@ -173,10 +175,22 @@ def test_bad_search_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, en
 
 
 def test_traces_state_cap(tmp_path):
+    # a search cut short by the cap is undecided, as in verify
     gens = tmp_path / "g.txt"
     gens.write_text("[[1,-1],[1,0]]\n[[1,5],[0,1]]\n")
     assert run(["traces", str(gens), "--max-word", "8", "--bound", "30",
-                "--state-cap", "10"]) == EXIT_FAILED
+                "--state-cap", "10"]) == EXIT_UNDECIDED
+
+
+def test_internal_error_exits_70(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("broken\ninvariant")
+
+    monkeypatch.setattr(fordlab.cli, "cmd_verify", broken)
+    assert run(["verify", "--target", "modular"]) == EXIT_SOFTWARE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError: broken invariant\n"
 
 
 def test_render_targets(tmp_path):

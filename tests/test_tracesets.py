@@ -1,16 +1,19 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fordlab._bfs import (
     DEFAULT_STATE_CAP,
+    _columns,
     _ExactCodec,
     _IntCodec,
     _make_codec,
     _PairCodec,
     _Search,
+    _widen,
 )
 from fordlab.exactnum import QuadValue
 from fordlab.moebius import MoebiusElement, bianchi_omega, from_ints, identity
@@ -135,8 +138,13 @@ def test_generic_kernel_matches_int_kernel():
     assert {str(t) for t in fast.traces} == {str(t) for t in slow.traces}
 
 
+def _imaginary(gens):
+    return any(v.m < 0 for g in gens for v in (g.a, g.b, g.c, g.d))
+
+
 def _exact_result(gens, max_len, bound):
-    search = _Search(_ExactCodec(Fraction(bound)), gens, DEFAULT_STATE_CAP)
+    codec = _ExactCodec(Fraction(bound), _imaginary(gens))
+    search = _Search(codec, gens, DEFAULT_STATE_CAP)
     search.run(max_len)
     return search.result()
 
@@ -149,7 +157,7 @@ def _reference_enumerate(gens, max_len, bound):
     entry is imaginary, |t| otherwise.  Returns (traces, states,
     max_len_reached)."""
     bound = Fraction(bound)
-    modulus = any(v.m < 0 for g in gens for v in (g.a, g.b, g.c, g.d))
+    modulus = _imaginary(gens)
     dirs, labels = [], []
     for i, g in enumerate(gens):
         for elem, label in ((g, f"g{i}"), (g.inv(), f"g{i}^-1")):
@@ -197,17 +205,24 @@ def _assert_matches_reference(gens, result, max_len, bound, same_words=True):
         assert result.traces == traces
 
 
-def _spy_py_levels(monkeypatch):
-    """Record the codec type of every Python-int level the driver runs."""
-    codecs = []
-    py_level = _Search._py_level
+def _spy_levels(monkeypatch):
+    """Record (kind, codec type) of every level the driver runs past int64:
+    "two-limb" numpy levels and "python" levels."""
+    seen = []
+    np_level, py_level = _Search._np_level, _Search._py_level
 
-    def spy(self, *args):
-        codecs.append(type(self.codec))
+    def np_spy(self, frontier, *args):
+        if frontier.shape[1] != self.width:
+            seen.append(("two-limb", type(self.codec)))
+        return np_level(self, frontier, *args)
+
+    def py_spy(self, *args):
+        seen.append(("python", type(self.codec)))
         return py_level(self, *args)
 
-    monkeypatch.setattr(_Search, "_py_level", spy)
-    return codecs
+    monkeypatch.setattr(_Search, "_np_level", np_spy)
+    monkeypatch.setattr(_Search, "_py_level", py_spy)
+    return seen
 
 
 def _assert_normalizer_kernel_matches_generic(gens, p, max_len, bound):
@@ -232,12 +247,13 @@ def test_normalizer_kernel_matches_generic_w1():
 
 
 def test_normalizer_kernel_matches_generic_past_int64(monkeypatch):
-    # level 4 of the p = 7 cross-check leaves int64 and divides Python ints
+    # level 4 of the p = 7 cross-check leaves int64 and divides limb columns
     from fordlab.constructions import build
-    codecs = _spy_py_levels(monkeypatch)
+    seen = _spy_levels(monkeypatch)
     gens = build("normalizer", 7).combined_gens
     _assert_normalizer_kernel_matches_generic(gens, 7, 4, 27)
-    assert _IntCodec in codecs
+    assert ("two-limb", _IntCodec) in seen
+    assert ("python", _IntCodec) not in seen
 
 
 def _scaled(p, a, b, c, d):
@@ -270,13 +286,38 @@ def test_pair_kernel_matches_generic_small():
 
 
 def test_pair_kernel_matches_reference_past_int64(monkeypatch):
-    # level 2 still fits int64; the guard moves levels 3 and 4 onto Python ints
-    codecs = _spy_py_levels(monkeypatch)
+    # level 2 still fits int64; the guard moves levels 3 and 4 onto two limbs
+    seen = _spy_levels(monkeypatch)
     om = bianchi_omega(1)
     gens = [MoebiusElement(om, -1, 1, 0), from_ints(1, 0, 1 << 29, 1),
             MoebiusElement(1, om, 0, 1)]
     _assert_matches_reference(gens, enumerate_traces(gens, 4, 20), 4, 20)
-    assert codecs.count(_PairCodec) == 2
+    assert seen == [("two-limb", _PairCodec)] * 2
+
+
+@pytest.mark.parametrize("big, kinds", [
+    # level 3 runs on two limbs, level 4 passes the two-limb guard
+    (from_ints(1, 1 << 29, 0, 1), ["two-limb", "python"]),
+    # an entry of 2**31 may not multiply limbs: int64 straight to Python ints
+    (from_ints(1, 0, 1 << 31, 1), ["python"] * 3),
+], ids=["past_two_limbs", "entry_2_31"])
+def test_pair_kernel_matches_reference_past_two_limbs(monkeypatch, big, kinds):
+    seen = _spy_levels(monkeypatch)
+    om = bianchi_omega(1)
+    gens = [MoebiusElement(om, -1, 1, 0), from_ints(1, 0, 1 << 29, 1), big]
+    _assert_matches_reference(gens, enumerate_traces(gens, 4, 20), 4, 20)
+    assert seen == [(kind, _PairCodec) for kind in kinds]
+
+
+def test_two_limb_levels_keep_traces_past_int64(monkeypatch):
+    # at a bound of 2**200 the bound test on two-limb rows must pass traces
+    # above 2**63: levels 3 and 4 run on two limbs
+    seen = _spy_levels(monkeypatch)
+    gens = [from_ints(1, 1 << 20, 0, 1), from_ints(1, 0, 1 << 20, 1)]
+    result = enumerate_traces(gens, 5, 1 << 200)
+    _assert_matches_reference(gens, result, 5, 1 << 200)
+    assert seen == [("two-limb", _IntCodec)] * 2 + [("python", _IntCodec)]
+    assert any(abs(t.a) >= 1 << 63 for t in result.traces)
 
 
 def _sl2z(word):
@@ -302,6 +343,106 @@ def test_driver_matches_reference_on_random_sl2z(gens, max_len, bound):
                               max_len, bound)
     _assert_matches_reference(gens, _exact_result(gens, max_len, bound),
                               max_len, bound)
+
+
+def _bianchi_gen(d, word):
+    om = bianchi_omega(d)
+    g = identity()
+    for kind, u, v in word:
+        x = om * v + u
+        g = g * {"T": MoebiusElement(1, x, 0, 1), "L": MoebiusElement(1, 0, x, 1),
+                 "S": S}[kind]
+    return g
+
+
+# small entries stay on int64; single letters with entries of 2**20 to
+# 2**29 leave int64 for two limbs after a level or two
+_SMALL = st.integers(-3, 3)
+_BIG = st.integers(1 << 20, (1 << 29) - 1) | st.integers(-(1 << 29) + 1, -(1 << 20))
+_LETTER = st.tuples(st.sampled_from("TLS"), _SMALL, _SMALL)
+_BIANCHI_WORD = (st.lists(_LETTER, min_size=1, max_size=3)
+                 | st.tuples(st.sampled_from("TL"), _BIG | _SMALL, _BIG).map(
+                     lambda letter: [letter]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 7, 19]),
+       words=st.lists(_BIANCHI_WORD, min_size=1, max_size=3),
+       max_len=st.sampled_from([4, 3, 2]), bound=st.integers(0, 40))
+@example(d=3, words=[[("S", 0, 0), ("T", 0, 1)], [("L", 0, 1 << 28)]],
+         max_len=4, bound=20)
+@example(d=19, words=[[("T", 0, 1)], [("L", 5, (1 << 29) - 1)]], max_len=4,
+         bound=40)
+def test_pair_kernel_matches_reference_on_random_bianchi(d, words, max_len,
+                                                        bound):
+    gens = [_bianchi_gen(d, word) for word in words]
+    assume(isinstance(_make_codec(gens, Fraction(bound)), _PairCodec))
+    _assert_matches_reference(gens, enumerate_traces(gens, max_len, bound),
+                              max_len, bound, same_words=d % 4 != 3)
+
+
+def test_exact_codec_caps_squared_modulus_for_imaginary_entries():
+    om = bianchi_omega(3)
+    gens = [MoebiusElement(om, -1, 1, 0), from_ints(1, 3, 0, 1)]
+    assert isinstance(_make_codec(gens, Fraction(20)), _PairCodec)
+    pair = enumerate_traces(gens, 5, 20)
+    assert len(pair.traces) == 7
+    # conjugated by diag(2, 1/2): entries leave the ring, the exact codec runs
+    h = MoebiusElement(2, 0, 0, Fraction(1, 2))
+    conj = [h * g * h.inv() for g in gens]
+    assert isinstance(_make_codec(conj, Fraction(20)), _ExactCodec)
+    exact = enumerate_traces(conj, 5, 20)
+    assert set(exact.traces) == set(pair.traces)
+    _assert_matches_reference(conj, exact, 5, 20)
+
+
+_LIMB_EDGES = [0, 1, -1, (1 << 31) - 1, 1 << 31, -(1 << 31), 1 << 62,
+               -(1 << 62), (1 << 61) + 1, (1 << 61) - 1, -(1 << 61) + 1,
+               -(1 << 61) - 1]
+_LIMB_INTS = st.sampled_from(_LIMB_EDGES) | st.integers(-(1 << 62), 1 << 62)
+_FACTORS = st.integers(-(1 << 30) + 1, (1 << 30) - 1)
+_DIVISORS = st.integers(1, (1 << 30) - 1)
+
+
+def _limbs(xs):
+    return _columns(_widen(np.array(xs, dtype=np.int64)[:, None]), 1)[0]
+
+
+def _values(col):
+    """The integers of a limb column, which must be normalized."""
+    hi, lo = np.broadcast_arrays(col.hi, col.lo)
+    assert ((0 <= lo) & (lo < 1 << 31)).all()
+    return [h * (1 << 31) + x for h, x in zip(hi.tolist(), lo.tolist())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_LIMB_INTS, _LIMB_INTS, _FACTORS,
+                               st.sampled_from([-1, 0, 1]), _DIVISORS),
+                     min_size=1, max_size=6),
+       k=_FACTORS, q=_DIVISORS)
+def test_limb_columns_match_python_ints(rows, k, q):
+    xs, ys, ks, signs, qs = map(list, zip(*rows))
+    x, y = _limbs(xs), _limbs(ys)
+    cases = [
+        (x + y, [a + b for a, b in zip(xs, ys)]),
+        (x + -y, [a - b for a, b in zip(xs, ys)]),
+        (-x, [-a for a in xs]),
+        (1 - x, [1 - a for a in xs]),
+        (x + k, [a + k for a in xs]),
+        (x * k, [a * k for a in xs]),
+        (k * x, [k * a for a in xs]),
+        (x * np.array(ks), [a * b for a, b in zip(xs, ks)]),
+        (x * np.array(signs), [a * b for a, b in zip(xs, signs)]),
+        (x * k // q, [a * k // q for a in xs]),
+        (x * q // q, xs),
+        (x // np.array(qs), [a // b for a, b in zip(xs, qs)]),
+        (abs(x), [abs(a) for a in xs]),
+    ]
+    for col, want in cases:
+        assert _values(col) == want
+    assert x.sign().tolist() == [(a > 0) - (a < 0) for a in xs]
+    assert (x <= np.array(ys)).tolist() == [a <= b for a, b in zip(xs, ys)]
+    assert (x <= abs(k)).tolist() == [a <= abs(k) for a in xs]
 
 
 def test_state_cap_raises():
