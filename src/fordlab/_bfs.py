@@ -176,18 +176,61 @@ def _narrow(rows):
     return [tuple(row) for row in x.tolist()]
 
 
-def _sort_keys(rows, width):
-    """``np.lexsort`` keys that order numpy rows numerically, last key
-    first.  A two-limb coordinate whose values all fit int64 is one key."""
-    if rows.shape[1] == width:
-        return rows.T[::-1]
-    hi, lo = rows[:, 0::2], rows[:, 1::2]
-    fits = np.abs(hi).max(axis=0) < 1 << (62 - _LIMB_BITS)
-    joined = (hi << _LIMB_BITS) | lo     # the values, where they fit
-    keys = []
-    for i, fit in enumerate(fits):
-        keys += [joined[:, i]] if fit else [hi[:, i], lo[:, i]]
-    return keys[::-1]
+def _row_order(rows):
+    """The stable permutation that sorts int64 rows lexicographically, equal
+    to ``np.lexsort(rows.T[::-1])`` element for element, ties included.
+
+    Each column, offset by its minimum, is a field as wide as the bit length
+    of its span (max - min), and a row reads as one unsigned integer with
+    its first column most significant.  With ib = ceil(log2 n) bits for a
+    position, one in-place ``np.sort`` per (64 - ib)-bit chunk of that
+    integer, least significant chunk first, sorts ``chunk << ib | i`` over
+    the positions i of the order so far.  The keys are distinct, so each
+    pass orders by its chunk and keeps the earlier order among equal
+    chunks: the passes together are a stable sort by the whole integer.
+    Two-limb rows sort by (hi, lo) per coordinate, which is their numeric
+    order, since 0 <= lo < 2**31.
+
+    Every span fits uint64, and ``col - col.min()`` cannot overflow int64,
+    on both kinds of numpy level.  The ``_Search._kind`` guards keep every
+    entry of an int64 level below P < 2**61 in absolute value, so a span is
+    below 2**62.  On a two-limb level the coordinates y have |y| <= P <
+    2**91, so |hi| <= |y| / 2**31 + 1 < 2**60 + 1 and hi spans are below
+    2**62, while 0 <= lo < 2**31.  The two earlier levels that a new level
+    is sorted with passed the same guards when they were made, and a
+    widened int64 level has |hi| <= 2**30.
+    """
+    n = len(rows)
+    ib = (n - 1).bit_length()
+    step = 64 - ib
+    fields, total = [], 0       # (column, its minimum, bit offset, width)
+    for col in rows.T[::-1]:
+        low = col.min()
+        width = (int(col.max()) - int(low)).bit_length()
+        if width:
+            fields.append((col, low, total, width))
+            total += width
+    order = np.arange(n)
+    pos = np.arange(n, dtype=np.uint64)
+    mask = np.uint64((1 << ib) - 1)
+    for start in range(0, total, step):
+        key = np.zeros(n, dtype=np.uint64)
+        for col, low, at, width in fields:
+            first = max(at, start)
+            if first < min(at + width, start + step):
+                v = np.subtract(col, low).view(np.uint64)
+                v >>= np.uint64(first - at)
+                # bits above the chunk fall off in the shift by ib below
+                v <<= np.uint64(first - start)
+                key |= v
+        if start:
+            key = key[order]
+        key <<= np.uint64(ib)
+        key |= pos
+        key.sort()
+        key &= mask
+        order = order[key.view(np.int64)] if start else key.view(np.int64)
+    return order
 
 
 # -- integer matrices, optionally scaled by 1/sqrt(p) ----------------------
@@ -610,16 +653,21 @@ class _Search:
         if not parts:
             return frontier[:0], last[:0]
         n_old = len(older) + len(frontier)
-        # stable: within equal rows, the two old levels come first and the
-        # candidates follow in generation order
         rows = np.concatenate([older, frontier, *parts])
         dirs = np.concatenate(part_dirs)
         del parts, part_dirs, cols    # free the candidates early
-        order = np.lexsort(_sort_keys(rows, self.width))
-        rows = rows[order]
+        # numeric row order, stable: within equal rows the two old levels
+        # come first and the candidates follow in generation order, so the
+        # first of each run of equal rows is kept only if it is new
+        order = _row_order(rows)
+        differs = np.zeros(len(rows) - 1, dtype=bool)
+        for col in rows.T:
+            col = col[order]
+            differs |= col[1:] != col[:-1]
         keep = order >= n_old
-        keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
-        return rows[keep], dirs[order[keep] - n_old]
+        keep[1:] &= differs
+        kept = order[keep]
+        return rows[kept], dirs[kept - n_old]
 
     def _py_level(self, frontier, last, older, near):
         cands = {}

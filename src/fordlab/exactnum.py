@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 Rational = Fraction
 
@@ -248,11 +248,6 @@ class RadicalExpr:
         raise ValueError("expression carries two independent radicals")
 
 
-def radical_cmp(expr: RadicalExpr) -> int:
-    """Exact sign of a radical expression compared against zero."""
-    return expr.sign()
-
-
 class QuadValue:
     """An exact element a + b*sqrt(m) of Q or a quadratic field Q(sqrt(m)).
 
@@ -460,18 +455,6 @@ def sqrt_qv(q) -> QuadValue:
     return QuadValue(0, Fraction(s, d), m)
 
 
-def qv_mul(x: QuadValue, y: QuadValue) -> QuadValue:
-    return qv(x) * qv(y)
-
-
-def qv_cmp_real(x: QuadValue, y: QuadValue) -> int:
-    return qv(x).cmp_real(y)
-
-
-def qv_abs2(x: QuadValue) -> Fraction:
-    return qv(x).abs2()
-
-
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _QV_FULL_RE = re.compile(
     rf"^(?P<a>{_RAT})(?P<b>[+-]\d+(?:/\d+)?)\*sqrt\((?P<m>-?\d+)\)$")
@@ -504,8 +487,3 @@ def qv_parse(text: str) -> QuadValue:
     if match:
         return QuadValue(Fraction(match.group("a")))
     raise ValueError(f"malformed QuadValue text: {text!r}")
-
-
-def check_reduced(x: Fraction) -> bool:
-    """Debug helper: Fractions are reduced with positive denominator."""
-    return x.denominator > 0 and gcd(abs(x.numerator), x.denominator) == 1

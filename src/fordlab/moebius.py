@@ -186,18 +186,6 @@ def canonicalize_trace(t: QuadValue) -> QuadValue:
     return t
 
 
-def mm_mul(x: MoebiusElement, y: MoebiusElement) -> MoebiusElement:
-    return x * y
-
-
-def mm_inv(x: MoebiusElement) -> MoebiusElement:
-    return x.inv()
-
-
-def mm_pow(x: MoebiusElement, k: int) -> MoebiusElement:
-    return x ** k
-
-
 def classify(x: MoebiusElement) -> ElementClass:
     return x.classify()
 

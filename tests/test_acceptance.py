@@ -235,6 +235,7 @@ BIANCHI_REQUIRED = (1, 2, 3, 5, 6, 15, 19)
 BIANCHI_FULLY_VERIFIED = (1, 2, 5, 6, 15, 19)
 
 
+@pytest.mark.slow
 def test_criterion_5_bianchi():
     failures = []
     started = time.monotonic()
@@ -331,6 +332,7 @@ def _trace_zero_elements():
     return [g for g in elems if g.canonical_trace() == QuadValue(0)]
 
 
+@pytest.mark.slow
 def test_criterion_6_geometry_properties():
     failures = []
     failures.extend(_circle_mapping_failures())

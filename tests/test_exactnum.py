@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,13 +12,8 @@ from fordlab.exactnum import (
     NotReal,
     QuadValue,
     RadicalExpr,
-    check_reduced,
-    qv_abs2,
-    qv_cmp_real,
     qv_format,
-    qv_mul,
     qv_parse,
-    radical_cmp,
     sqrt_qv,
     square_free_decompose,
 )
@@ -27,67 +23,67 @@ def test_mul_conjugate_pair():
     # (1+sqrt2)(1-sqrt2) = -1
     x = QuadValue(1, 1, 2)
     y = QuadValue(1, -1, 2)
-    assert qv_mul(x, y) == QuadValue(-1)
+    assert x * y == QuadValue(-1)
 
 
 def test_mul_square_expands():
     # (3+sqrt5)^2 = 14 + 6 sqrt5, checked against hand expansion
     x = QuadValue(3, 1, 5)
-    assert qv_mul(x, x) == QuadValue(14, 6, 5)
+    assert x * x == QuadValue(14, 6, 5)
 
 
 def test_mul_imaginary_radicand():
     # (sqrt(-5))^2 = -5
     x = QuadValue(0, 1, -5)
-    assert qv_mul(x, x) == QuadValue(-5)
+    assert x * x == QuadValue(-5)
 
 
 def test_mul_mixed_radicand_rejected():
     with pytest.raises(MixedRadicand):
-        qv_mul(QuadValue(0, 1, 2), QuadValue(0, 1, 3))
+        QuadValue(0, 1, 2) * QuadValue(0, 1, 3)
 
 
 def test_mul_rational_mixes_with_anything():
-    assert qv_mul(QuadValue(3), QuadValue(0, 1, 7)) == QuadValue(0, 3, 7)
+    assert QuadValue(3) * QuadValue(0, 1, 7) == QuadValue(0, 3, 7)
 
 
 def test_cmp_real_examples():
     # 1+sqrt2 vs 12/5 reduces to comparing 2 with 49/25
-    assert qv_cmp_real(QuadValue(1, 1, 2), QuadValue(Fraction(12, 5))) == GREATER
-    assert qv_cmp_real(QuadValue(0), QuadValue(0)) == EQUAL
+    assert QuadValue(1, 1, 2).cmp_real(QuadValue(Fraction(12, 5))) == GREATER
+    assert QuadValue(0).cmp_real(QuadValue(0)) == EQUAL
     # 3 - sqrt5 > 0 since 9 > 5
-    assert qv_cmp_real(QuadValue(3, -1, 5), QuadValue(0)) == GREATER
+    assert QuadValue(3, -1, 5).cmp_real(QuadValue(0)) == GREATER
 
 
 def test_cmp_real_rejects_complex():
     with pytest.raises(NotReal):
-        qv_cmp_real(QuadValue(0, 1, -1), QuadValue(0))
+        QuadValue(0, 1, -1).cmp_real(QuadValue(0))
 
 
 def test_cmp_real_across_different_radicands():
-    assert qv_cmp_real(QuadValue(0, 1, 2), QuadValue(0, 1, 3)) < 0
-    assert qv_cmp_real(QuadValue(0, 5, 2), QuadValue(0, 4, 3)) > 0  # 50 > 48
+    assert QuadValue(0, 1, 2).cmp_real(QuadValue(0, 1, 3)) < 0
+    assert QuadValue(0, 5, 2).cmp_real(QuadValue(0, 4, 3)) > 0  # 50 > 48
 
 
 def test_abs2_examples():
-    assert qv_abs2(QuadValue(Fraction(7, 5))) == Fraction(49, 25)
-    assert qv_abs2(QuadValue(1, 1, -1)) == 2
+    assert QuadValue(Fraction(7, 5)).abs2() == Fraction(49, 25)
+    assert QuadValue(1, 1, -1).abs2() == 2
     # (1+sqrt(-3))/2 has unit modulus
-    assert qv_abs2(QuadValue(Fraction(1, 2), Fraction(1, 2), -3)) == 1
+    assert QuadValue(Fraction(1, 2), Fraction(1, 2), -3).abs2() == 1
 
 
 def test_abs2_rejects_real_quadratic_irrational():
     with pytest.raises(NotComplexModulus):
-        qv_abs2(QuadValue(1, 1, 5))
+        QuadValue(1, 1, 5).abs2()
 
 
 def test_radical_cmp_examples():
     # 1 + sqrt2 - sqrt9 = sqrt2 - 2 < 0
     e = RadicalExpr(1, ((1, 2), (-1, 9)))
-    assert radical_cmp(e) == -1
-    assert radical_cmp(RadicalExpr(0)) == 0
+    assert e.sign() == -1
+    assert RadicalExpr(0).sign() == 0
     # sqrt2 > 6/5 since 2 > 36/25
-    assert radical_cmp(RadicalExpr(Fraction(-6, 5), ((1, 2),))) == 1
+    assert RadicalExpr(Fraction(-6, 5), ((1, 2),)).sign() == 1
 
 
 def test_radical_cmp_two_radicals():
@@ -131,7 +127,7 @@ def test_sqrt_qv():
     assert sqrt_qv(Fraction(1, 5)) == QuadValue(0, Fraction(1, 5), 5)
     assert sqrt_qv(8) == QuadValue(0, 2, 2)
     v = sqrt_qv(Fraction(9, 2))
-    assert qv_mul(v, v) == QuadValue(Fraction(9, 2))
+    assert v * v == QuadValue(Fraction(9, 2))
 
 
 def test_normalization_folds_trivial_radicands():
@@ -162,7 +158,7 @@ def test_cmp_agrees_with_certified_interval_1000():
     for _ in range(1000):
         m1, m2 = rng.choice(radicands), rng.choice(radicands)
         x, y = _random_qv(rng, m1), _random_qv(rng, m2)
-        c = qv_cmp_real(x, y)
+        c = x.cmp_real(y)
         expr = RadicalExpr(x.a - y.a, ((x.b, x.m), (-y.b, y.m)))
         lo, hi = expr.interval(333)  # ~100 decimal digits
         if c > 0:
@@ -178,7 +174,7 @@ def test_norm_multiplicative_on_imaginary_values():
     for _ in range(400):
         m = rng.choice([-1, -2, -5, -7, 0])
         x, y = _random_qv(rng, m), _random_qv(rng, m)
-        assert qv_abs2(x * y) == qv_abs2(x) * qv_abs2(y)
+        assert (x * y).abs2() == x.abs2() * y.abs2()
 
 
 def test_radical_cmp_antisymmetric_and_transitive():
@@ -206,7 +202,9 @@ def test_outputs_stay_reduced():
     for _ in range(200):
         x, y = _random_qv(rng, 5), _random_qv(rng, 5)
         for v in (x + y, x * y, x - y):
-            assert check_reduced(v.a) and check_reduced(v.b)
+            for part in (v.a, v.b):
+                assert part.denominator > 0
+                assert gcd(abs(part.numerator), part.denominator) == 1
 
 
 def test_text_round_trip_examples():

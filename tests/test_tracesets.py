@@ -12,6 +12,7 @@ from fordlab._bfs import (
     _IntCodec,
     _make_codec,
     _PairCodec,
+    _row_order,
     _Search,
     _widen,
 )
@@ -443,6 +444,44 @@ def test_limb_columns_match_python_ints(rows, k, q):
     assert x.sign().tolist() == [(a > 0) - (a < 0) for a in xs]
     assert (x <= np.array(ys)).tolist() == [a <= b for a, b in zip(xs, ys)]
     assert (x <= abs(k)).tolist() == [a <= abs(k) for a in xs]
+
+
+_TOP = (1 << 61) - 1      # the largest entry an int64 level may hold
+_ORDER_INTS = (st.sampled_from([0, 1, -1, _TOP, -_TOP, 1 << 31, -(1 << 31)])
+               | st.integers(-_TOP, _TOP))
+# n = 2**k and 2**k + 1 on both sides of a change of ceil(log2 n)
+_ORDER_SIZES = [1, 2, 3, 4, 5, 8, 9, 255, 256, 257, 1024, 1025]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.lists(_ORDER_INTS, min_size=4, max_size=4),
+                     min_size=1, max_size=6),
+       width=st.integers(1, 4), n=st.sampled_from(_ORDER_SIZES),
+       seed=st.integers(0, 2**32 - 1), distinct=st.booleans(),
+       constant=st.lists(st.booleans(), min_size=4, max_size=4),
+       wide=st.booleans())
+@example(pool=[[5, 6, 7, 8]], width=4, n=1, seed=0, distinct=False,
+         constant=[False] * 4, wide=False)
+# two 62-bit columns with n = 2: the first one spans bits 62..123 of the
+# row, across the two 63-bit chunks
+@example(pool=[[_TOP, -_TOP, 0, 0], [-_TOP, _TOP, 0, 0]], width=2, n=2,
+         seed=0, distinct=False, constant=[False] * 4, wide=False)
+def test_row_order_matches_lexsort(pool, width, n, seed, distinct, constant,
+                                   wide):
+    rng = np.random.default_rng(seed)
+    pool = np.array(pool, dtype=np.int64)[:, :width]
+    if distinct:
+        rows = rng.integers(pool.min(axis=0), pool.max(axis=0),
+                            size=(n, width), endpoint=True)
+    else:
+        # mostly duplicates: n rows drawn from at most six
+        rows = pool[rng.integers(0, len(pool), size=n)]
+    for i in range(width):
+        if constant[i]:
+            rows[:, i] = pool[0, i]       # a zero-span column
+    if wide:
+        rows = _widen(rows)
+    assert np.array_equal(_row_order(rows), np.lexsort(rows.T[::-1]))
 
 
 def test_state_cap_raises():
