@@ -18,8 +18,6 @@ from fordlab.moebius import (
     MoebiusElement,
     NotIntegral,
     bianchi_omega,
-    canonical_trace,
-    classify,
     from_ints,
     identity,
     in_bianchi,

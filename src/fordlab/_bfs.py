@@ -35,7 +35,7 @@ from math import isqrt
 
 import numpy as np
 
-from fordlab.exactnum import QuadValue
+from fordlab.exactnum import MixedRadicand, QuadValue
 from fordlab.moebius import MoebiusElement, identity, omega_coords
 
 _INT64_GUARD = 1 << 61
@@ -169,11 +169,15 @@ def _widen(rows):
     return out
 
 
-def _narrow(rows):
-    """Two-limb rows as tuples of Python ints."""
-    x = ((rows[:, 0::2].astype(object) << _LIMB_BITS)
-         + rows[:, 1::2].astype(object))
-    return [tuple(row) for row in x.tolist()]
+def _py_rows(rows, width):
+    """int64 or two-limb numpy rows as tuples of Python ints, or one such
+    row as one tuple."""
+    if rows.shape[-1] != width:
+        rows = ((rows[..., 0::2].astype(object) << _LIMB_BITS)
+                + rows[..., 1::2].astype(object))
+    if rows.ndim == 1:
+        return tuple(rows.tolist())
+    return list(map(tuple, rows.tolist()))
 
 
 def _row_order(rows):
@@ -245,55 +249,23 @@ def _int_entries(g: MoebiusElement):
     return tuple(row)
 
 
-def _scaled_entries(g: MoebiusElement):
-    """(M, p) with g = M / sqrt(p) for an integer matrix M, or None."""
-    radicands = {v.m for v in (g.a, g.b, g.c, g.d) if v.b != 0}
-    if len(radicands) != 1:
-        return None
-    p = radicands.pop()
-    if p < 2:
-        return None
+def _scaled_entries(g: MoebiusElement, p: int):
+    """The integer matrix M with g = M / sqrt(p), or None."""
     row = []
     for v in (g.a, g.b, g.c, g.d):
         x = v.b * p
-        if v.a != 0 or x.denominator != 1:
+        if v.a != 0 or v.m not in (0, p) or x.denominator != 1:
             return None
         row.append(x.numerator)
-    return tuple(row), p
-
-
-def _atkin_lehner_prime(gens) -> int | None:
-    """The p that proves the generators close up in the (M, e) encoding.
-
-    Every generator must be an integer matrix in Gamma0(p), or M/sqrt(p)
-    with M of Atkin-Lehner shape [[p*a, b], [p*c, p*d]] (det M = p).  That
-    set is closed under products: the product of two scaled elements is
-    divisible by p and M1*M2/p lies in Gamma0(p) again.  None when some
-    generator falls outside it.
-    """
-    p, ints = None, []
-    for g in gens:
-        row = _int_entries(g)
-        if row is not None:
-            ints.append(row)
-            continue
-        scaled = _scaled_entries(g)
-        if scaled is None or p not in (None, scaled[1]):
-            return None
-        (a, _, c, d), p = scaled
-        if a % p or c % p or d % p:
-            return None
-    if p is None or any(row[2] % p for row in ints):
-        return None
-    return p
+    return tuple(row)
 
 
 class _IntCodec:
     """Integer matrices [[a, b], [c, d]] as rows (a, b, c, d).
 
-    With a radicand p (see ``_atkin_lehner_prime``) a row (a, b, c, d, e)
-    stands for [[a, b], [c, d]] / sqrt(p)^e, e in {0, 1}; a product of two
-    scaled states is divided exactly by p.  The trace of a scaled state is
+    With a radicand p a row (a, b, c, d, e) stands for
+    [[a, b], [c, d]] / sqrt(p)^e, e in {0, 1}; a product of two scaled
+    states is divided exactly by p.  The trace of a scaled state is
     (|a + d| / p) * sqrt(p).  Trace keys are the (rational, radical) integer
     coefficients.
     """
@@ -311,12 +283,24 @@ class _IntCodec:
                                    // (p * bound.denominator ** 2))
 
     def entries(self, g):
+        """g's row, or None when the encoding cannot prove it closes up.
+
+        With a radicand p, g must be an integer matrix in Gamma0(p), or
+        M/sqrt(p) with M of Atkin-Lehner shape [[p*a, b], [p*c, p*d]]
+        (det M = p).  That set is closed under inverses and products: the
+        product of two scaled elements is divisible by p and M1*M2/p lies
+        in Gamma0(p) again.
+        """
         row = _int_entries(g)
-        if self.p is None:
+        p = self.p
+        if p is None:
             return row
         if row is not None:
-            return row + (0,)
-        return _scaled_entries(g)[0] + (1,)
+            return None if row[2] % p else row + (0,)
+        row = _scaled_entries(g, p)
+        if row is None or row[0] % p or row[2] % p or row[3] % p:
+            return None
+        return row + (1,)
 
     @staticmethod
     def _product(x, y):
@@ -380,7 +364,7 @@ def _pair_entries(g: MoebiusElement, d: int):
     for v in (g.a, g.b, g.c, g.d):
         try:
             u, w = omega_coords(v, d)
-        except Exception:
+        except MixedRadicand:
             return None
         if u.denominator != 1 or w.denominator != 1:
             return None
@@ -500,31 +484,21 @@ class _ExactCodec:
         return QuadValue(*key)
 
 
-def _detect_ring_d(gens) -> int | None:
-    d = None
-    for g in gens:
-        for v in (g.a, g.b, g.c, g.d):
-            if v.m < 0:
-                if d is not None and d != -v.m:
-                    return None
-                d = -v.m
-            elif v.m > 0:
-                return None
-    return d
-
-
 def _make_codec(gens, bound: Fraction):
-    """The codec for a generator set: the first encoding that provably fits."""
-    if all(_int_entries(g) is not None for g in gens):
-        return _IntCodec(bound)
-    p = _atkin_lehner_prime(gens)
-    if p is not None:
-        return _IntCodec(bound, p)
-    d = _detect_ring_d(gens)
-    if d is not None and all(_pair_entries(g, d) is not None for g in gens):
-        return _PairCodec(d, bound)
-    modulus = any(v.m < 0 for g in gens for v in (g.a, g.b, g.c, g.d))
-    return _ExactCodec(bound, modulus)
+    """The codec for a generator set: the integer encoding that the radicands
+    of its entries name, if every generator has a row in it, else the exact
+    codec.  No radicand names integer matrices, one p > 0 the normalizer
+    encoding and one -d < 0 the integers of Q(sqrt(-d))."""
+    radicands = {v.m for g in gens for v in (g.a, g.b, g.c, g.d) if v.m}
+    codec = None
+    if not radicands:
+        codec = _IntCodec(bound)
+    elif len(radicands) == 1:
+        (m,) = radicands
+        codec = _IntCodec(bound, m) if m > 0 else _PairCodec(-m, bound)
+    if codec is not None and all(codec.entries(g) is not None for g in gens):
+        return codec
+    return _ExactCodec(bound, any(m < 0 for m in radicands))
 
 
 # -- the driver ----------------------------------------------------------------
@@ -532,25 +506,13 @@ def _make_codec(gens, bound: Fraction):
 _INT64, _WIDE, _PY = "int64", "two-limb", "python"
 
 
-def _tuples(arr):
-    return [tuple(row) for row in arr.tolist()]
-
-
-def _row_tuple(row):
-    return tuple(row.tolist())
-
-
-def _wide_row_tuple(row):
-    hi, lo = row[0::2].tolist(), row[1::2].tolist()
-    return tuple((h << _LIMB_BITS) + x for h, x in zip(hi, lo))
-
-
 def _contains(rows, state) -> bool:
     """Binary search for a state in a level's lexicographically sorted rows:
     Python-int states, int64 rows or two-limb rows."""
     key = None
     if isinstance(rows, np.ndarray):
-        key = _row_tuple if rows.shape[1] == len(state) else _wide_row_tuple
+        width = len(state)
+        key = lambda row: _py_rows(row, width)
     i = bisect_left(rows, state, key=key)
     return i < len(rows) and (key(rows[i]) if key else rows[i]) == state
 
@@ -598,39 +560,31 @@ class _Search:
             return _WIDE
         return _PY
 
-    def _py_rows(self, rows):
-        # numpy rows as tuples of Python ints
-        return _tuples(rows) if rows.shape[1] == self.width else _narrow(rows)
-
     def run(self, max_len: int) -> None:
         codec = self.codec
+        frontier, last = [codec.ident], [-1]
         if codec.growth is None:
-            kind, frontier, last, older = _PY, [codec.ident], [-1], set()
+            kind = _PY
         else:
             kind = _INT64
-            frontier = np.array([codec.ident], dtype=np.int64)
-            last = np.array([-1], dtype=np.int16)
-            older = frontier[:0]
+            frontier = np.array(frontier, dtype=np.int64)
+            last = np.array(last, dtype=np.int16)
             self.gen_max = max((max(map(abs, row)) for row in self.dirs),
                                default=1)
+        older = frontier[:0]    # level L-2, in the form of the frontier
         self.levels.append(frontier)
-        # older is level L-2 in the form of the frontier: rows on numpy
-        # levels, a set of states on Python-int levels
         for level in range(1, max_len + 1):
             step = self._kind(kind, frontier)
             if step is _WIDE and kind is _INT64:
                 frontier, older = _widen(frontier), _widen(older)
             elif step is _PY and kind is not _PY:
-                frontier, last = self._py_rows(frontier), last.tolist()
-                older = set(self._py_rows(older))
+                frontier = _py_rows(frontier, self.width)
+                older = _py_rows(older, self.width)
+                last = last.tolist()
             kind = step
-            if kind is _PY:
-                near = set(frontier)
-                rows, last = self._py_level(frontier, last, older, near)
-                older = near
-            else:
-                rows, last = self._np_level(frontier, last, older)
-                older = frontier
+            make = self._py_level if kind is _PY else self._np_level
+            rows, last = make(frontier, last, older)
+            older = frontier
             if not len(rows):
                 break
             self.levels.append(rows)
@@ -669,20 +623,29 @@ class _Search:
         kept = order[keep]
         return rows[kept], dirs[kept - n_old]
 
-    def _py_level(self, frontier, last, older, near):
-        cands = {}
+    def _py_level(self, frontier, last, older):
+        # the rule of _np_level on lists: a stable sort of the two old
+        # levels and the candidates, which keeps the first of each run of
+        # equal rows only if it is new.  Equal (key, element) states of the
+        # exact codec have equal keys and equal elements, so elements are
+        # never ordered.
         mul, inv_idx = self.codec.mul, self.inv_idx
-        for state, ld in zip(frontier, last):
-            for j, gen in enumerate(self.dirs):
+        rows, dirs = older + frontier, []
+        n_old = len(rows)
+        for j, gen in enumerate(self.dirs):
+            for state, ld in zip(frontier, last):
                 if ld != inv_idx[j]:
-                    cands.setdefault(mul(state, gen), j)
-        rows = [k for k in sorted(cands) if k not in near and k not in older]
-        return rows, [cands[k] for k in rows]
+                    rows.append(mul(state, gen))
+                    dirs.append(j)
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        kept = [i for at, i in enumerate(order) if i >= n_old
+                and (at == 0 or rows[i] != rows[order[at - 1]])]
+        return [rows[i] for i in kept], [dirs[i - n_old] for i in kept]
 
     def _record(self, rows, level):
         if isinstance(rows, np.ndarray):
             cols = _columns(rows, self.width)
-            rows = self._py_rows(rows[self.codec.np_in_bound(cols)])
+            rows = _py_rows(rows[self.codec.np_in_bound(cols)], self.width)
         for row in rows:
             key = self.codec.trace_key(row)
             if key is not None and key not in self.traces:

@@ -275,17 +275,14 @@ def render_generators_svg(gens) -> str:
 
 
 def _search_args(args, default_bound):
-    """The checked (bound, state cap) of a command; ValueError on bad input.
-
-    ``--parallelism`` is checked but has no effect.
-    """
+    """The checked (bound, state cap) of a command; ValueError on bad input."""
     try:
         bound = Fraction(default_bound if args.bound is None else args.bound)
     except ZeroDivisionError:
         raise ValueError(f"bound {args.bound!r} divides by zero") from None
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    for name in ("max_word", "state_cap", "parallelism"):
+    for name in ("max_word", "state_cap"):
         value = getattr(args, name)
         if value is not None and value < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
@@ -400,8 +397,16 @@ def cmd_render(args) -> int:
     return EXIT_VERIFIED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line, like the other checks."""
+
+    def error(self, message):
+        print(f"error: {' '.join(message.split())}", file=sys.stderr)
+        sys.exit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fordlab",
         description="Exact verification of Ford-domain constructions and "
                     "trace sets of Fuchsian and Bianchi groups.")
@@ -420,8 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--svg", default=None)
     p_verify.add_argument("--normalize-timings", action="store_true")
     p_verify.add_argument("--state-cap", type=int, default=None)
-    p_verify.add_argument("--parallelism", type=int, default=1,
-                          help="accepted for compatibility; no effect")
     p_verify.set_defaults(func=cmd_verify)
 
     p_traces = sub.add_parser("traces", help="enumerate traces from a generator file")
@@ -430,8 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_traces.add_argument("--bound", default="50")
     p_traces.add_argument("--out", default=None)
     p_traces.add_argument("--state-cap", type=int, default=None)
-    p_traces.add_argument("--parallelism", type=int, default=1,
-                          help="accepted for compatibility; no effect")
     p_traces.set_defaults(func=cmd_traces)
 
     p_render = sub.add_parser("render", help="render circles and domains as SVG")

@@ -30,6 +30,7 @@ from fordlab.geometry import (
 )
 from fordlab.moebius import (
     MoebiusElement,
+    NotIntegral,
     bianchi_omega,
     from_ints,
     in_bianchi,
@@ -100,7 +101,7 @@ class Construction:
             if kind == "normalizer":
                 return in_normalizer(g, self.param)
             return in_bianchi(g, self.param)
-        except Exception:
+        except NotIntegral:
             return False
 
 

@@ -714,6 +714,13 @@ def point_prism_dist_sq(z: QuadValue, prism: PrismDomain) -> Fraction:
 _WIDE_OFFSETS = [(j, k) for j in range(-2, 3) for k in range(-2, 3)]
 
 
+def _lattice_translates(prism: PrismDomain, z: QuadValue) -> list[QuadValue]:
+    """The translates of z's canonical representative by j*t1 + k*t2,
+    |j|, |k| <= 2, in ``_WIDE_OFFSETS`` order."""
+    base0, _ = prism.canonicalize(z)
+    return [base0 + prism.t1 * j + prism.t2 * k for j, k in _WIDE_OFFSETS]
+
+
 def sphere_translates_meeting_prism(prism: PrismDomain,
                                     bases: list[QuadValue],
                                     radius_sq: Fraction = Fraction(1)):
@@ -721,9 +728,7 @@ def sphere_translates_meeting_prism(prism: PrismDomain,
     centers = []
     seen = set()
     for base in bases:
-        base0, _ = prism.canonicalize(qv(base))
-        for j, k in _WIDE_OFFSETS:
-            z = base0 + prism.t1 * j + prism.t2 * k
+        for z in _lattice_translates(prism, qv(base)):
             key = (z.a, z.b)
             if key in seen:
                 continue
@@ -790,23 +795,20 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
                                   margin=QuadValue(margin2),
                                   witnesses={"kind": "squared"}))
 
-        bases = [QuadValue(0)]
+        unit_centers = _lattice_translates(prism, QuadValue(0))
         if not x.is_zero():
-            bases.append(x)
+            unit_centers += _lattice_translates(prism, x)
         worst = None
         clear = True
-        for base in bases:
-            base0, _ = prism.canonicalize(base)
-            for j, k in _WIDE_OFFSETS:
-                center = base0 + prism.t1 * j + prism.t2 * k
-                s = sphere_separation_sq_margin(ddisk.center, ddisk.radius_sq,
-                                                center, Fraction(1)).sign()
-                if s <= 0:
-                    clear = False
-                lin = _linear_sphere_margin(ddisk.center, ddisk.radius_sq,
-                                            center, Fraction(1))
-                if lin is not None and (worst is None or lin.cmp_real(worst) < 0):
-                    worst = lin
+        for center in unit_centers:
+            s = sphere_separation_sq_margin(ddisk.center, ddisk.radius_sq,
+                                            center, Fraction(1)).sign()
+            if s <= 0:
+                clear = False
+            lin = _linear_sphere_margin(ddisk.center, ddisk.radius_sq,
+                                        center, Fraction(1))
+            if lin is not None and (worst is None or lin.cmp_real(worst) < 0):
+                worst = lin
         checks.append(CheckRecord(f"delta_clears_unit_spheres{label}",
                                   "pass" if clear else "fail", margin=worst))
 
@@ -814,9 +816,7 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
             scan_ok = True
             for n, dk, dki in scan.entries:
                 for disk in ((dk,) if dk.same_circle(dki) else (dk, dki)):
-                    c0, _ = prism.canonicalize(disk.center)
-                    for j, k in _WIDE_OFFSETS:
-                        center = c0 + prism.t1 * j + prism.t2 * k
+                    for center in _lattice_translates(prism, disk.center):
                         s = sphere_separation_sq_margin(
                             ddisk.center, ddisk.radius_sq,
                             center, disk.radius_sq).sign()
@@ -828,20 +828,17 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
             if scan.growing:
                 tail_ok = True
                 cap_norm = scan.norms[-1][1]
-                for base in bases:
-                    base0, _ = prism.canonicalize(base)
-                    for j, k in _WIDE_OFFSETS:
-                        tau = base0 + prism.t1 * j + prism.t2 * k
-                        dist2 = (ddisk.center - tau).abs2()
-                        # need sqrt(dist2) > 1 + r_delta + 2/sqrt(cap_norm)
-                        expr = RadicalExpr(-1, ((1, dist2),
-                                                (-1, ddisk.radius_sq),
-                                                (-2, Fraction(1) / cap_norm)))
-                        try:
-                            if expr.sign() <= 0:
-                                tail_ok = False
-                        except PrecisionExhausted:
-                            tail_ok = None
+                for tau in unit_centers:
+                    dist2 = (ddisk.center - tau).abs2()
+                    # need sqrt(dist2) > 1 + r_delta + 2/sqrt(cap_norm)
+                    expr = RadicalExpr(-1, ((1, dist2),
+                                            (-1, ddisk.radius_sq),
+                                            (-2, Fraction(1) / cap_norm)))
+                    try:
+                        if expr.sign() <= 0:
+                            tail_ok = False
+                    except PrecisionExhausted:
+                        tail_ok = None
                 status = {True: "pass", False: "fail", None: "undecided"}[tail_ok]
                 checks.append(CheckRecord(
                     f"power_tail{label}", status,

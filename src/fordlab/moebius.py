@@ -186,14 +186,6 @@ def canonicalize_trace(t: QuadValue) -> QuadValue:
     return t
 
 
-def classify(x: MoebiusElement) -> ElementClass:
-    return x.classify()
-
-
-def canonical_trace(x: MoebiusElement) -> QuadValue:
-    return x.canonical_trace()
-
-
 # -- congruence predicates ----------------------------------------------------
 
 

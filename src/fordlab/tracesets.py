@@ -14,7 +14,7 @@ from fordlab._bfs import (
     StateExplosion,
     bfs_enumerate,
 )
-from fordlab.exactnum import QuadValue, qv
+from fordlab.exactnum import MixedRadicand, QuadValue, qv
 from fordlab.moebius import bianchi_omega, canonicalize_trace, omega_coords
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "enumerate_traces",
     "expected_set",
     "model_contains",
-    "trace_key",
     "trace_sort_key",
     "trace_to_length",
     "unit_residue_traces",
@@ -172,7 +171,7 @@ def model_contains(model: TraceSetModel, t: QuadValue) -> bool:
         return t.m == n and t.a == 0 and t.b.denominator == 1
     try:
         u, v = omega_coords(t, n)
-    except Exception:
+    except MixedRadicand:
         return False
     return u.denominator == 1 and v.denominator == 1
 
@@ -200,10 +199,6 @@ class Coverage:
     @property
     def complete(self) -> bool:
         return not self.missing and not self.extra
-
-
-def trace_key(t: QuadValue):
-    return (t.a, t.b, t.m)
 
 
 def trace_sort_key(t: QuadValue):

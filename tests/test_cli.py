@@ -3,6 +3,7 @@ import json
 import pytest
 
 import fordlab.cli
+import fordlab.constructions
 from fordlab.cli import (
     EXIT_DATA,
     EXIT_FAILED,
@@ -83,7 +84,7 @@ def test_report_round_trip_and_determinism(tmp_path):
     args = ["verify", "--target", "gamma0:7", "--bound", "30",
             "--max-word", "8", "--normalize-timings"]
     assert run(args + ["--report", str(a)]) == EXIT_VERIFIED
-    assert run(args + ["--report", str(b), "--parallelism", "3"]) == EXIT_VERIFIED
+    assert run(args + ["--report", str(b)]) == EXIT_VERIFIED
     assert a.read_bytes() == b.read_bytes()
     report = load_report(a.read_text())
     assert dump_report(report) == a.read_text()
@@ -140,10 +141,10 @@ def test_traces_deterministic_bytes(tmp_path):
     gens = tmp_path / "g.txt"
     gens.write_text("[[1,-1],[1,0]]\n[[1,5],[0,1]]\n")
     outs = []
-    for p in ("1", "4"):
-        out = tmp_path / f"t{p}.txt"
+    for i in range(2):
+        out = tmp_path / f"t{i}.txt"
         assert run(["traces", str(gens), "--max-word", "6", "--bound", "30",
-                    "--out", str(out), "--parallelism", p]) == EXIT_VERIFIED
+                    "--out", str(out)]) == EXIT_VERIFIED
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
@@ -152,15 +153,15 @@ def test_traces_deterministic_bytes(tmp_path):
     (["verify", "--target", "modular", "--bound", "1/0"], None),
     (["verify", "--target", "modular", "--bound", "-3"], None),
     (["verify", "--target", "modular", "--max-word", "0"], None),
-    (["verify", "--target", "modular", "--state-cap", "0"], None),
     (["verify", "--target", "modular", "--parallelism", "0"], None),
+    (["verify", "--target", "modular", "--state-cap", "0"], None),
     (["verify", "--target", "modular"], "oops"),
     (["traces", "G", "--bound", "1/0"], None),
     (["traces", "G", "--bound", "-3"], None),
     (["traces", "G", "--bound", "abc"], None),
     (["traces", "G", "--max-word", "0"], None),
-    (["traces", "G", "--state-cap", "0"], None),
     (["traces", "G", "--parallelism", "0"], None),
+    (["traces", "G", "--state-cap", "0"], None),
     (["traces", "G"], "-3"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"env={v}")
 def test_bad_search_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, env):
@@ -172,6 +173,13 @@ def test_bad_search_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, en
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_parallelism_flag_is_rejected(tmp_path):
+    gens = tmp_path / "g.txt"
+    gens.write_text("[[1,1],[0,1]]\n")
+    assert run(["verify", "--target", "modular", "--parallelism", "1"]) == EXIT_USAGE
+    assert run(["traces", str(gens), "--parallelism", "1"]) == EXIT_USAGE
 
 
 def test_traces_state_cap(tmp_path):
@@ -191,6 +199,20 @@ def test_internal_error_exits_70(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal error: RuntimeError: broken invariant\n"
+
+
+def test_membership_fault_is_not_failed(monkeypatch, capsys):
+    # only NotIntegral means "not a member": any other exception is a fault
+    def broken(g, n):
+        raise RuntimeError("broken membership test")
+
+    monkeypatch.setattr(fordlab.constructions, "in_gamma0", broken)
+    assert run(["verify", "--target", "gamma0:5", "--bound", "10",
+                "--max-word", "4", "--normalize-timings"]) == EXIT_SOFTWARE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal error: RuntimeError: "
+                            "broken membership test\n")
 
 
 def test_render_targets(tmp_path):
