@@ -37,6 +37,7 @@ import numpy as np
 
 from fordlab.exactnum import MixedRadicand, QuadValue
 from fordlab.moebius import MoebiusElement, identity, omega_coords
+from fordlab.tracesets import DEFAULT_STATE_CAP, EnumerationResult, StateExplosion
 
 _INT64_GUARD = 1 << 61
 # two-limb levels (see _Search._kind): the bound on the products' entries,
@@ -45,22 +46,6 @@ _WIDE_GUARD = 1 << 91
 _WIDE_FACTOR = 1 << 30
 _LIMB_BITS = 31
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-DEFAULT_STATE_CAP = 5_000_000
-
-
-class StateExplosion(RuntimeError):
-    """The enumeration hit the configured state cap before finishing."""
-
-
-class EnumerationResult:
-    """Traces found by the search, with shortest witness words and stats."""
-
-    __slots__ = ("traces", "states_explored", "max_len_reached")
-
-    def __init__(self, traces, states_explored, max_len_reached):
-        self.traces = traces            # dict[QuadValue -> witness word str]
-        self.states_explored = states_explored
-        self.max_len_reached = max_len_reached
 
 
 def _directions(gens):

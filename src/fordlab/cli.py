@@ -14,7 +14,7 @@ from fordlab.constructions import (
     build,
     verify_construction,
 )
-from fordlab.exactnum import PrecisionExhausted, QuadValue, qv_format
+from fordlab.exactnum import NotReal, PrecisionExhausted, QuadValue, qv_format
 from fordlab.geometry import (
     LemmaViolation,
     PrismDomain,
@@ -264,7 +264,8 @@ def render_generators_svg(gens) -> str:
         try:
             domain = build_ford_two_gen(abs(translations[0].b), others[0])
             return render_strip_svg([domain])
-        except Exception:
+        except (LemmaViolation, NotReal):
+            # no two-generator domain: draw the isometric circles alone
             pass
     disks = [(isometric_disk(g), mm_format(g)) for g in others]
     default = StripDomain(0, Fraction(5, 2), MoebiusElement(1, 5, 0, 1), [])

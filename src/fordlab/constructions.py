@@ -387,14 +387,26 @@ def conjugator_postcondition(alpha: MoebiusElement, interval) -> bool:
             and disk_within_interval(isometric_disk(alpha.inv()), x, y))
 
 
-def _int_disks_fit(a: int, b: int, c: int, d: int, x: Fraction, y: Fraction) -> bool:
-    """Both isometric disks of an integer matrix strictly inside (x, y)."""
+def _int_disks_fit(a: int, b: int, c: int, d: int,
+                   xn: int, xd: int, yn: int, yd: int) -> bool:
+    """Both isometric disks of an integer matrix strictly inside (x, y), for
+    x = xn/xd and y = yn/yd with xd, yd > 0.
+
+    The disks span min(-d/c, a/c) - 1/|c| to max(-d/c, a/c) + 1/|c|; the
+    bounds are compared multiplied by |c|*xd and |c|*yd."""
     if c == 0:
         return False
     ac = abs(c)
-    lo = min(Fraction(-d, c), Fraction(a, c)) - Fraction(1, ac)
-    hi = max(Fraction(-d, c), Fraction(a, c)) + Fraction(1, ac)
-    return x < lo and hi < y
+    if c < 0:
+        a, d = -a, -d
+    lo, hi = min(-d, a) - 1, max(-d, a) + 1
+    return xn * ac < lo * xd and hi * yd < yn * ac
+
+
+def _interval_ints(interval) -> tuple[int, int, int, int]:
+    """(xn, xd, yn, yd) of a rational interval (x, y) = (xn/xd, yn/yd)."""
+    x, y = qv(interval[0]).to_fraction(), qv(interval[1]).to_fraction()
+    return x.numerator, x.denominator, y.numerator, y.denominator
 
 
 def find_power_conjugator(c_modulus: int, interval, max_height: int = 120,
@@ -409,8 +421,8 @@ def find_power_conjugator(c_modulus: int, interval, max_height: int = 120,
     of fixed-point candidates whose powers are ground out is capped to keep
     the search budget predictable.
     """
-    x, y = Fraction(qv(interval[0]).to_fraction()), Fraction(qv(interval[1]).to_fraction())
-    if not x < y:
+    xn, xd, yn, yd = _interval_ints(interval)
+    if not xn * yd < yn * xd:
         raise ValueError("empty interval")
     tried = 0
     for c in range(c_modulus, max_height + 1, c_modulus):
@@ -426,12 +438,15 @@ def find_power_conjugator(c_modulus: int, interval, max_height: int = 120,
                 b = (a * d - 1) // c
                 if abs(b) > max_height:
                     continue
-                # both fixed points of cz^2 + (d-a)z - b inside (x, y)
+                # both fixed points of cz^2 + (d-a)z - b inside (x, y):
+                # 2cx < a - d < 2cy, and c*(cz^2 + (d-a)z - b) > 0 at z = x
+                # and z = y, each multiplied by a positive square denominator
                 vertex_num = a - d
-                if not (2 * c * x < vertex_num < 2 * c * y):
+                if not (2 * c * xn < vertex_num * xd
+                        and vertex_num * yd < 2 * c * yn):
                     continue
-                px = c * x * x + (d - a) * x - b
-                py = c * y * y + (d - a) * y - b
+                px = c * xn * xn + (d - a) * xn * xd - b * xd * xd
+                py = c * yn * yn + (d - a) * yn * yd - b * yd * yd
                 if not (c * px > 0 and c * py > 0):
                     continue
                 tried += 1
@@ -440,7 +455,7 @@ def find_power_conjugator(c_modulus: int, interval, max_height: int = 120,
                     if k > 1:
                         pa, pb, pc, pd = (pa * a + pb * c, pa * b + pb * d,
                                           pc * a + pd * c, pc * b + pd * d)
-                    if pc != 0 and _int_disks_fit(pa, pb, pc, pd, x, y):
+                    if pc != 0 and _int_disks_fit(pa, pb, pc, pd, xn, xd, yn, yd):
                         return from_ints(pa, pb, pc, pd)
                 if tried >= max_candidates:
                     raise SearchExhausted(
@@ -453,14 +468,13 @@ def find_power_conjugator(c_modulus: int, interval, max_height: int = 120,
 def find_involution_conjugator(c_modulus: int, interval,
                                max_height: int = 40000) -> MoebiusElement:
     """Search for a trace-zero element whose single disk fits the interval."""
-    x, y = Fraction(qv(interval[0]).to_fraction()), Fraction(qv(interval[1]).to_fraction())
+    xn, xd, yn, yd = _interval_ints(interval)
     for c in range(c_modulus, max_height + 1, c_modulus):
-        a_lo = x * c
-        a_hi = y * c
-        a = a_lo.numerator // a_lo.denominator
-        while a <= a_hi:
+        # a runs over the integers from floor(x*c) to y*c
+        a = xn * c // xd
+        while a * yd <= yn * c:
             if (a * a + 1) % c == 0 and _int_disks_fit(a, -(a * a + 1) // c,
-                                                       c, -a, x, y):
+                                                       c, -a, xn, xd, yn, yd):
                 return from_ints(a, -(a * a + 1) // c, c, -a)
             a += 1
     raise SearchExhausted(f"no involution conjugator within height {max_height}")

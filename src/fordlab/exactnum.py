@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 Rational = Fraction
 
@@ -254,58 +254,66 @@ class QuadValue:
     ``m`` is a square-free integer (negative for imaginary quadratic
     fields, with sqrt(m) = i*sqrt(|m|)) or 0 for plain rationals.  Values
     with b = 0 are stored with m = 0 and mix freely with any ring.
+
+    The value is held as four ints, (p + q*sqrt(m))/n with n > 0 and
+    gcd(p, q, n) = 1, so each value has exactly one representation; ``a``
+    and ``b`` are p/n and q/n.
     """
 
-    __slots__ = ("a", "b", "m")
+    __slots__ = ("_p", "_q", "_n", "m")
 
     def __init__(self, a=0, b=0, m=0):
-        a, b = _frac(a), _frac(b)
+        pa, da = _ratio(a)
+        pb, db = _ratio(b)
         if not isinstance(m, int):
             raise TypeError("radicand must be an int")
-        if b == 0 or m == 0:
-            a, b, m = a + (b * 0), Fraction(0), 0
-        elif m == 1:
-            a, b, m = a + b, Fraction(0), 0
-        else:
-            s, q = square_free_decompose(abs(m))
-            if s != 1:
-                b *= s
-                m = q if m > 0 else -q
-            if m == 1:
-                a, b, m = a + b, Fraction(0), 0
-        if b == 0:
-            m = 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "m", m)
+        if m == 0:
+            pb = 0
+        elif pb != 0 and m != 1:
+            s, r = square_free_decompose(abs(m))
+            pb *= s
+            m = r if m > 0 else -r
+        p, q, n = pa * db, pb * da, da * db
+        if m == 1:
+            p, q = p + q, 0
+        _init(self, p, q, n, m)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadValue is immutable")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._n)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._n)
 
     # -- predicates ----------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._q == 0
 
     @property
     def is_real(self) -> bool:
-        return self.b == 0 or self.m > 0
+        return self._q == 0 or self.m > 0
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._p == 0 and self._q == 0
 
     # -- ring structure ------------------------------------------------
 
     def _coerce(self, other) -> QuadValue:
         if isinstance(other, QuadValue):
             return other
-        return QuadValue(_frac(other))
+        p, n = _ratio(other)
+        return _make(p, 0, n, 0)
 
     def _join_ring(self, other: QuadValue) -> int:
-        if self.b == 0:
+        if self._q == 0:
             return other.m
-        if other.b == 0:
+        if other._q == 0:
             return self.m
         if self.m != other.m:
             raise MixedRadicand(f"cannot combine sqrt({self.m}) with sqrt({other.m})")
@@ -314,12 +322,16 @@ class QuadValue:
     def __add__(self, other):
         o = self._coerce(other)
         m = self._join_ring(o)
-        return QuadValue(self.a + o.a, self.b + o.b, m)
+        n1, n2 = self._n, o._n
+        if n1 == n2:
+            return _make(self._p + o._p, self._q + o._q, n1, m)
+        return _make(self._p * n2 + o._p * n1, self._q * n2 + o._q * n1,
+                     n1 * n2, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadValue(-self.a, -self.b, self.m)
+        return _make(-self._p, -self._q, self._n, self.m)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -330,18 +342,20 @@ class QuadValue:
     def __mul__(self, other):
         o = self._coerce(other)
         m = self._join_ring(o)
-        return QuadValue(self.a * o.a + self.b * o.b * m,
-                         self.a * o.b + self.b * o.a, m)
+        p1, q1, p2, q2 = self._p, self._q, o._p, o._q
+        return _make(p1 * p2 + q1 * q2 * m, p1 * q2 + q1 * p2,
+                     self._n * o._n, m)
 
     __rmul__ = __mul__
 
     def inverse(self) -> QuadValue:
-        if self.is_zero():
+        p, q, m = self._p, self._q, self.m
+        if p == 0 and q == 0:
             raise ZeroDivisionError("inverse of zero")
-        norm = self.a * self.a - self.b * self.b * self.m
+        norm = p * p - q * q * m
         if norm == 0:
             raise ZeroDivisionError("zero divisor (non-square-free radicand?)")
-        return QuadValue(self.a / norm, -self.b / norm, self.m)
+        return _make(self._n * p, -self._n * q, norm, m)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -351,34 +365,38 @@ class QuadValue:
 
     def conj(self) -> QuadValue:
         """Radical conjugate a - b*sqrt(m); the complex conjugate when m < 0."""
-        return QuadValue(self.a, -self.b, self.m)
+        return _make(self._p, -self._q, self._n, self.m)
 
     # -- equality / hashing ---------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QuadValue(other)
+            other = self._coerce(other)
         if not isinstance(other, QuadValue):
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.m == other.m
+        return (self._p == other._p and self._q == other._q
+                and self._n == other._n and self.m == other.m)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.m))
+        return hash((self._p, self._q, self._n, self.m))
 
     # -- real comparisons ------------------------------------------------
 
     def sign_real(self) -> int:
         if not self.is_real:
             raise NotReal(f"{self} is not real")
-        return _sign_one_radical(self.a, self.b, Fraction(self.m))
+        return _sign_one_radical(self._p, self._q, self.m)
 
     def cmp_real(self, other) -> int:
         o = self._coerce(other)
         if not self.is_real or not o.is_real:
             raise NotReal("ordering is defined for real values only")
-        return RadicalExpr(self.a - o.a,
-                           ((self.b, Fraction(self.m)),
-                            (-o.b, Fraction(o.m)))).sign()
+        if self._q and o._q and self.m != o.m:
+            return RadicalExpr(self.a - o.a, ((self.b, Fraction(self.m)),
+                                              (-o.b, Fraction(o.m)))).sign()
+        n1, n2 = self._n, o._n
+        return _sign_one_radical(self._p * n2 - o._p * n1,
+                                 self._q * n2 - o._q * n1, self.m or o.m)
 
     def __lt__(self, other):
         return self.cmp_real(other) < 0
@@ -397,10 +415,11 @@ class QuadValue:
 
     def abs2(self) -> Fraction:
         """|x|^2 for complex (m <= 0) or rational values, always a Rational."""
-        if self.m > 0 and self.b != 0:
+        if self.m > 0:
             raise NotComplexModulus(
                 "squared modulus is not rational for real-quadratic irrationals")
-        return self.a * self.a - self.m * self.b * self.b
+        p, q = self._p, self._q
+        return Fraction(p * p - self.m * q * q, self._n * self._n)
 
     # -- complex coordinate access (m <= 0) -------------------------------
 
@@ -413,12 +432,10 @@ class QuadValue:
         """Imaginary part as an exact element of Q(sqrt(|m|))."""
         if self.m > 0:
             raise NotReal("imag_part is for rational or imaginary-quadratic values")
-        if self.m == 0:
-            return QuadValue(0)
-        return QuadValue(0, self.b, -self.m)
+        return _make(0, self._q, self._n, -self.m)
 
     def to_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self._q != 0:
             raise ValueError(f"{self} is not rational")
         return self.a
 
@@ -436,11 +453,49 @@ class QuadValue:
         return f"QuadValue({self.a!r}, {self.b!r}, {self.m!r})"
 
 
+_set_p = QuadValue._p.__set__
+_set_q = QuadValue._q.__set__
+_set_n = QuadValue._n.__set__
+_set_m = QuadValue.m.__set__
+_new = object.__new__
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational given as int, Fraction or str."""
+    if isinstance(x, int):
+        return x, 1
+    x = _frac(x)
+    return x.numerator, x.denominator
+
+
+def _init(v: QuadValue, p: int, q: int, n: int, m: int) -> None:
+    """Store (p + q*sqrt(m))/n in canonical form, for n != 0 and m
+    square-free and not 1 (m is dropped when q = 0)."""
+    if n < 0:
+        p, q, n = -p, -q, -n
+    if q == 0:
+        m = 0
+    g = gcd(p, q, n)
+    if g != 1:
+        p, q, n = p // g, q // g, n // g
+    _set_p(v, p)
+    _set_q(v, q)
+    _set_n(v, n)
+    _set_m(v, m)
+
+
+def _make(p: int, q: int, n: int, m: int) -> QuadValue:
+    """The QuadValue (p + q*sqrt(m))/n, on the terms of :func:`_init`."""
+    v = _new(QuadValue)
+    _init(v, p, q, n, m)
+    return v
+
+
 def qv(x) -> QuadValue:
     """Coerce an int, Fraction, or QuadValue to a QuadValue."""
     if isinstance(x, QuadValue):
         return x
-    return QuadValue(_frac(x))
+    return QuadValue(x)
 
 
 def sqrt_qv(q) -> QuadValue:
@@ -452,7 +507,7 @@ def sqrt_qv(q) -> QuadValue:
         return QuadValue(0)
     n, d = q.numerator, q.denominator
     s, m = square_free_decompose(n * d)
-    return QuadValue(0, Fraction(s, d), m)
+    return _make(s, 0, d, 0) if m == 1 else _make(0, s, d, m)
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from fordlab.exactnum import (
+    MixedRadicand,
     NotComplexModulus,
     NotReal,
     PrecisionExhausted,
@@ -136,7 +137,7 @@ def separation_margin(u: IsometricDisk, v: IsometricDisk) -> QuadValue:
         else:
             dist = abs(u.center - v.center)
         return dist - sqrt_qv(u.radius_sq) - sqrt_qv(v.radius_sq)
-    except Exception:
+    except MixedRadicand:
         return _separation_expr(u, v).to_quadvalue()
 
 
@@ -683,7 +684,7 @@ def _interval_margin(da, dai, x, y):
             if v.cmp_real(worst) < 0:
                 worst = v
         return worst
-    except Exception:
+    except MixedRadicand:
         return None
 
 
@@ -743,7 +744,7 @@ def _linear_sphere_margin(center_a, r2_a, center_b, r2_b):
     try:
         gap = (qv(center_a) - qv(center_b)).abs2()
         return sqrt_qv(gap) - sqrt_qv(r2_a) - sqrt_qv(r2_b)
-    except Exception:
+    except MixedRadicand:
         return None
 
 

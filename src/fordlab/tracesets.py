@@ -8,12 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from fordlab._bfs import (
-    DEFAULT_STATE_CAP,
-    EnumerationResult,
-    StateExplosion,
-    bfs_enumerate,
-)
 from fordlab.exactnum import MixedRadicand, QuadValue, qv
 from fordlab.moebius import bianchi_omega, canonicalize_trace, omega_coords
 
@@ -33,6 +27,22 @@ __all__ = [
 ]
 
 STATE_CAP_ENV = "FORDLAB_STATE_CAP"
+DEFAULT_STATE_CAP = 5_000_000
+
+
+class StateExplosion(RuntimeError):
+    """The enumeration hit the configured state cap before finishing."""
+
+
+class EnumerationResult:
+    """Traces found by the search, with shortest witness words and stats."""
+
+    __slots__ = ("traces", "states_explored", "max_len_reached")
+
+    def __init__(self, traces, states_explored, max_len_reached):
+        self.traces = traces            # dict[QuadValue -> witness word str]
+        self.states_explored = states_explored
+        self.max_len_reached = max_len_reached
 
 
 class NotHyperbolic(ValueError):
@@ -185,6 +195,10 @@ def enumerate_traces(gens, max_word_len: int, trace_bound,
     words included, is deterministic.  ``parallelism`` is accepted for
     compatibility and has no effect.
     """
+    # the search is the only numpy user: importing it here keeps numpy out
+    # of every command that does not enumerate
+    from fordlab._bfs import bfs_enumerate
+
     cap = default_state_cap() if state_cap is None else state_cap
     return bfs_enumerate(list(gens), max_word_len, Fraction(trace_bound),
                          state_cap=cap)

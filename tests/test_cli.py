@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import fordlab.cli
 import fordlab.constructions
+import fordlab.geometry
 from fordlab.cli import (
     EXIT_DATA,
     EXIT_FAILED,
@@ -241,3 +246,52 @@ def test_render_empty_generator_file(tmp_path):
 def test_render_io_error(tmp_path):
     assert run(["render", "--target", "principal:2",
                 "--out", str(tmp_path / "no_dir" / "x.svg")]) == 74
+
+
+def test_margin_fault_is_not_verified(monkeypatch, capsys):
+    # a fault inside a margin must not drop the margin and still verify
+    sqrt_qv = fordlab.geometry.sqrt_qv
+
+    def broken(q):
+        if sys._getframe(1).f_code.co_name == "_linear_sphere_margin":
+            raise RuntimeError("broken sqrt")
+        return sqrt_qv(q)
+
+    monkeypatch.setattr(fordlab.geometry, "sqrt_qv", broken)
+    assert run(["verify", "--target", "bianchi:19", "--bound", "10",
+                "--max-word", "4", "--normalize-timings"]) == EXIT_SOFTWARE
+    assert capsys.readouterr().err == ("error: internal error: RuntimeError: "
+                                       "broken sqrt\n")
+
+
+@pytest.mark.parametrize("gens", [
+    "[[1,5],[0,1]]\n[[2,-1],[1,0]]\n",            # a two-generator domain
+    "[[1,1],[0,1]]\n[[0,-1],[1,0]]\n",            # LemmaViolation
+    "[[1,1*sqrt(-1)],[0,1]]\n[[0,-1],[1,0]]\n",   # NotReal translation
+])
+def test_render_generators_falls_back_on_domain_errors(tmp_path, gens):
+    path, out = tmp_path / "g.txt", tmp_path / "g.svg"
+    path.write_text(gens)
+    assert run(["render", "--gens", str(path), "--out", str(out)]) == 0
+    assert out.read_text().startswith("<svg")
+
+
+def test_render_generators_fault_exits_70(tmp_path, monkeypatch):
+    def broken(m, g2):
+        raise RuntimeError("broken domain")
+
+    monkeypatch.setattr(fordlab.cli, "build_ford_two_gen", broken)
+    path = tmp_path / "g.txt"
+    path.write_text("[[1,5],[0,1]]\n[[2,-1],[1,0]]\n")
+    assert run(["render", "--gens", str(path),
+                "--out", str(tmp_path / "g.svg")]) == EXIT_SOFTWARE
+
+
+def test_cli_import_does_not_load_numpy():
+    # only the enumeration needs numpy; usage errors and geometry do not
+    src = str(Path(fordlab.cli.__file__).resolve().parents[1])
+    code = "import sys, fordlab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fordlab.exactnum import QuadValue
 from fordlab.geometry import Disjointness, disks_disjoint, isometric_disk
@@ -17,6 +19,7 @@ from fordlab.constructions import (
     gamma0_unit_pairs,
     modular_conjugators,
     verify_construction,
+    _int_disks_fit,
 )
 
 EXPECTED_COMBINED = [
@@ -166,3 +169,30 @@ def test_modular_conjugator_matrices_frozen():
     assert modular_conjugators() == [from_ints(142, -545, 37, -142),
                                      from_ints(17, -58, 5, -17),
                                      from_ints(117, -370, 37, -117)]
+
+
+def _fraction_disks_fit(a, c, d, x, y):
+    """Both disks, [-d/c -+ 1/|c|] and [a/c -+ 1/|c|], inside (x, y)."""
+    if c == 0:
+        return False
+    lo = min(Fraction(-d, c), Fraction(a, c)) - Fraction(1, abs(c))
+    hi = max(Fraction(-d, c), Fraction(a, c)) + Fraction(1, abs(c))
+    return x < lo and hi < y
+
+
+_entries = st.integers(-10 ** 6, 10 ** 6)
+_rats = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+
+
+@given(a=_entries, b=_entries, c=_entries, d=_entries, x=_rats, y=_rats)
+def test_int_disks_fit_matches_fraction_bounds(a, b, c, d, x, y):
+    # random intervals, and intervals placed around the disks' midpoint so
+    # that both outcomes and near-tangent bounds occur
+    intervals = [(x, y)]
+    if c:
+        mid = Fraction(a - d, 2 * c)
+        intervals.append((mid - abs(x), mid + abs(y)))
+    for lo, hi in intervals:
+        got = _int_disks_fit(a, b, c, d, lo.numerator, lo.denominator,
+                             hi.numerator, hi.denominator)
+        assert got == _fraction_disks_fit(a, c, d, lo, hi)

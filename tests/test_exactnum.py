@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fordlab.exactnum import (
     EQUAL,
@@ -226,3 +228,169 @@ def test_parse_rejects_garbage():
     for bad in ["", "1+1", "sqrt(2)", "1/2 + 1*sqrt(2)", "x", "1*sqrt(2)+1"]:
         with pytest.raises(ValueError):
             qv_parse(bad)
+
+
+# -- differential test against the (Fraction a, Fraction b, m) formulas ------------
+
+_BIG = 2 ** 200
+_nums = st.one_of(st.integers(-20, 20), st.integers(-_BIG, _BIG))
+_dens = st.one_of(st.integers(1, 20), st.integers(1, _BIG))
+_rats = st.builds(Fraction, _nums, _dens)
+# radicands -19..19, plus non-square-free ones the constructor must reduce
+_radicands = st.one_of(st.integers(-19, 19), st.sampled_from([4, 12, -8]))
+
+
+class _Ref:
+    """a + b*sqrt(m) on two Fractions, normalized as the constructor does."""
+
+    def __init__(self, a, b=Fraction(0), m=0):
+        a, b = Fraction(a), Fraction(b)
+        if b == 0 or m == 0:
+            b, m = Fraction(0), 0
+        elif m != 1:
+            s, r = square_free_decompose(abs(m))
+            b *= s
+            m = r if m > 0 else -r
+        if m == 1:
+            a, b, m = a + b, Fraction(0), 0
+        self.a, self.b, self.m = a, b, m
+
+    def join(self, o):
+        if self.b == 0:
+            return o.m
+        if o.b == 0:
+            return self.m
+        if self.m != o.m:
+            raise MixedRadicand
+        return self.m
+
+    def add(self, o):
+        return _Ref(self.a + o.a, self.b + o.b, self.join(o))
+
+    def neg(self):
+        return _Ref(-self.a, -self.b, self.m)
+
+    def sub(self, o):
+        return self.add(o.neg())
+
+    def mul(self, o):
+        m = self.join(o)
+        return _Ref(self.a * o.a + self.b * o.b * m, self.a * o.b + self.b * o.a, m)
+
+    def inverse(self):
+        norm = self.a * self.a - self.b * self.b * self.m
+        if norm == 0:
+            raise ZeroDivisionError
+        return _Ref(self.a / norm, -self.b / norm, self.m)
+
+    def div(self, o):
+        return self.mul(o.inverse())
+
+    def conj(self):
+        return _Ref(self.a, -self.b, self.m)
+
+    def abs2(self):
+        if self.m > 0:
+            raise NotComplexModulus
+        return self.a * self.a - self.m * self.b * self.b
+
+    def sign_real(self):
+        if self.m < 0:
+            raise NotReal
+        a, b2m = self.a, self.b * self.b * self.m
+        sa, sb = (a > 0) - (a < 0), (self.b > 0) - (self.b < 0)
+        if sb == 0 or sa == sb:
+            return sa or sb
+        t = (a * a > b2m) - (a * a < b2m)
+        return sa if t > 0 else (sb if t < 0 else 0)
+
+    def cmp_real(self, o):
+        if self.m < 0 or o.m < 0:
+            raise NotReal
+        return RadicalExpr(self.a - o.a, ((self.b, self.m), (-o.b, o.m))).sign()
+
+
+def _assert_canonical(v):
+    p, q, n, m = v._p, v._q, v._n, v.m
+    assert all(type(k) is int for k in (p, q, n, m))
+    assert n > 0 and gcd(p, q, n) == 1
+    assert (q == 0) == (m == 0)
+    if m:
+        assert m != 1 and square_free_decompose(abs(m))[0] == 1
+    assert (v.a, v.b) == (Fraction(p, n), Fraction(q, n))
+
+
+def _outcome(fn, *args):
+    """The (a, b, m) or value of fn(*args), or the type of its exception."""
+    try:
+        r = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    if isinstance(r, QuadValue):
+        _assert_canonical(r)
+    if isinstance(r, (QuadValue, _Ref)):
+        return (r.a, r.b, r.m)
+    return r
+
+
+_OPS = [
+    ("add", lambda x, y: x + y, _Ref.add),
+    ("sub", lambda x, y: x - y, _Ref.sub),
+    ("mul", lambda x, y: x * y, _Ref.mul),
+    ("div", lambda x, y: x / y, _Ref.div),
+    ("cmp_real", QuadValue.cmp_real, _Ref.cmp_real),
+]
+_UNARY = [
+    ("neg", lambda x: -x, _Ref.neg),
+    ("inverse", QuadValue.inverse, _Ref.inverse),
+    ("conj", QuadValue.conj, _Ref.conj),
+    ("abs2", QuadValue.abs2, _Ref.abs2),
+    ("sign_real", QuadValue.sign_real, _Ref.sign_real),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a1=_rats, b1=_rats, a2=_rats, b2=_rats, m1=_radicands,
+       m2=_radicands, same_ring=st.booleans())
+def test_core_matches_fraction_formulas(a1, b1, a2, b2, m1, m2, same_ring):
+    if same_ring:
+        m2 = m1
+    x, y = QuadValue(a1, b1, m1), QuadValue(a2, b2, m2)
+    rx, ry = _Ref(a1, b1, m1), _Ref(a2, b2, m2)
+    for v, r in ((x, rx), (y, ry)):
+        _assert_canonical(v)
+        assert (v.a, v.b, v.m) == (r.a, r.b, r.m)
+        for name, op, ref in _UNARY:
+            assert _outcome(op, v) == _outcome(ref, r), name
+        # equal values hash equal, and the text form round-trips
+        w = qv_parse(qv_format(v))
+        assert w == v and hash(w) == hash(v)
+        u = (v + v) * QuadValue(Fraction(1, 2))
+        assert u == v and hash(u) == hash(v)
+    for name, op, ref in _OPS:
+        assert _outcome(op, x, y) == _outcome(ref, rx, ry), name
+        assert _outcome(op, y, x) == _outcome(ref, ry, rx), name
+
+
+@settings(max_examples=300)
+@given(a1=_rats, b1=_rats, a2=_rats, b2=_rats,
+       rings=st.lists(st.sampled_from([2, 3, 5, 6, 7, 8, 10, 12, 13, 19]),
+                      min_size=2, max_size=2, unique=True))
+def test_cmp_real_across_rings_matches_fraction_formulas(a1, b1, a2, b2, rings):
+    # real irrationals of two different rings take the two-radical path;
+    # with equal rational parts only the radicals decide
+    m1, m2 = rings
+    x, rx = QuadValue(a1, b1, m1), _Ref(a1, b1, m1)
+    for a in (a2, a1):
+        y, ry = QuadValue(a, b2, m2), _Ref(a, b2, m2)
+        assert x.cmp_real(y) == rx.cmp_real(ry)
+        assert y.cmp_real(x) == ry.cmp_real(rx)
+
+
+@given(k=_nums, r=_rats)
+def test_rationals_equal_ints_and_fractions(k, r):
+    assert QuadValue(k) == k and k == QuadValue(k)
+    assert QuadValue(r) == r and hash(QuadValue(r)) == hash(QuadValue(r.numerator) / r.denominator)
+    assert QuadValue(0, r, 4) == QuadValue(2 * r)
+    assert QuadValue(0, r, -8) == QuadValue(0, 2 * r, -2)
+    assert QuadValue(0, r, 12) == QuadValue(0, 2 * r, 3)

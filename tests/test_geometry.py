@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import fordlab.geometry
 from fordlab.exactnum import QuadValue, sqrt_qv
 from fordlab.geometry import (
     CheckRecord,
@@ -27,6 +28,9 @@ from fordlab.geometry import (
     separation_margin,
     sphere_translates_meeting_prism,
     verify_separation,
+    _interval_margin,
+    _linear_sphere_margin,
+    _separation_expr,
 )
 from fordlab.moebius import MoebiusElement, bianchi_omega, from_ints, in_pslz
 
@@ -415,3 +419,29 @@ def _reduced_words(gens, max_len):
                     nxt.append(e)
         level = nxt
     return list(out.values())
+
+
+def test_margins_fall_back_only_on_mixed_radicands(monkeypatch):
+    # radii sqrt(2)/2 and sqrt(3)/3 do not combine into one ring with the
+    # centre gap, so each margin falls back, and only for that reason
+    u = IsometricDisk(QuadValue(0), Fraction(1, 2), S)
+    v = IsometricDisk(QuadValue(5), Fraction(1, 3), S)
+    root2 = QuadValue(0, 1, 2)
+    alpha = MoebiusElement(root2, QuadValue(0, Fraction(-1, 2), 2), root2, 0)
+    da, dai = isometric_disk(alpha), isometric_disk(alpha.inv())
+    x, y = QuadValue(0, -1, 5), QuadValue(0, 1, 5)
+    calls = [
+        lambda: separation_margin(u, v),
+        lambda: _linear_sphere_margin(u.center, u.radius_sq, v.center, v.radius_sq),
+        lambda: _interval_margin(da, dai, x, y),
+    ]
+    assert [call() for call in calls] == [
+        _separation_expr(u, v).to_quadvalue(), None, None]
+
+    def broken(q):
+        raise RuntimeError("broken sqrt")
+
+    monkeypatch.setattr(fordlab.geometry, "sqrt_qv", broken)
+    for call in calls:
+        with pytest.raises(RuntimeError):
+            call()

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fordlab.exactnum import MixedRadicand, QuadValue
 from fordlab.moebius import (
@@ -204,3 +207,24 @@ def test_generator_file_parsing():
     assert gens == [S, T5]
     with pytest.raises(ValueError, match="line 2"):
         parse_generator_file("[[1,1],[0,1]]\n[[1,1],[0]]\n")
+
+
+_big = st.integers(-2 ** 80, 2 ** 80)
+_rats = st.builds(Fraction, _big, st.integers(1, 2 ** 80))
+
+
+@given(a=_big, c=_big, k=_big, x=_rats, y=_rats)
+def test_apply_to_point_matches_fraction_formula(a, c, k, x, y):
+    # an integer matrix with ad - bc = 1 from coprime a, c (c = 0 gives T^k)
+    if c == 0:
+        a, b, d = 1, k, 1
+    else:
+        if gcd(a, c) != 1:
+            a = 1
+        d = pow(a, -1, abs(c)) + k * c
+        b = (a * d - 1) // c
+    y = abs(y) + Fraction(1, 7)
+    num_re = (a * x + b) * (c * x + d) + a * c * y * y
+    den = (c * x + d) * (c * x + d) + c * c * y * y
+    u, v = from_ints(a, b, c, d).apply_to_point(QuadValue(x), QuadValue(y))
+    assert (u, v) == (QuadValue(num_re / den), QuadValue(y / den))

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fordlab._bfs import (
-    DEFAULT_STATE_CAP,
     _columns,
     _ExactCodec,
     _IntCodec,
@@ -19,6 +18,7 @@ from fordlab._bfs import (
 from fordlab.exactnum import QuadValue
 from fordlab.moebius import MoebiusElement, bianchi_omega, from_ints, identity
 from fordlab.tracesets import (
+    DEFAULT_STATE_CAP,
     NotHyperbolic,
     StateExplosion,
     TraceSetModel,
