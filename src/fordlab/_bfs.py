@@ -25,18 +25,31 @@ numpy rows, which hold each coordinate x as the int64 pair
 rows sort by their limbs in the numeric order of their coordinates, so the
 row order of a level, which decides which state becomes a trace's witness,
 is the same on every kind of level and results are deterministic.
+
+The last numpy level of a search is counted, not sorted: it is never a
+frontier, and no witness is looked up in it.  Its rows are hashed to one
+uint64 each, rows that share a hash are compared exactly, and a run of
+equal hashes over different rows is counted with a Python set.  Only its
+in-bound rows, which choose the witnesses, are put in row order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
 from fordlab.exactnum import MixedRadicand, QuadValue
-from fordlab.moebius import MoebiusElement, identity, omega_coords
+from fordlab.moebius import (
+    MoebiusElement,
+    NotIntegral,
+    identity,
+    integer_entries,
+    omega_coords,
+)
 from fordlab.tracesets import DEFAULT_STATE_CAP, EnumerationResult, StateExplosion
 
 _INT64_GUARD = 1 << 61
@@ -139,11 +152,16 @@ def _columns(rows, width):
             for i in range(0, rows.shape[1], 2)]
 
 
+def _flat(cols):
+    """The int64 arrays of columns, two per limb column."""
+    if isinstance(cols[0], _Limbs):
+        return [half for col in cols for half in (col.hi, col.lo)]
+    return cols
+
+
 def _stack(cols):
     """Rows from columns, two limbs per coordinate for limb columns."""
-    if isinstance(cols[0], _Limbs):
-        cols = [half for col in cols for half in (col.hi, col.lo)]
-    return np.stack(cols, axis=1)
+    return np.stack(_flat(cols), axis=1)
 
 
 def _widen(rows):
@@ -222,16 +240,93 @@ def _row_order(rows):
     return order
 
 
+def _first_new(rows, new):
+    """The indices of the new rows among int64 rows, once each, in numeric
+    row order: the first row of each run of equal rows in the stable row
+    order, kept only if ``new`` (a mask over the rows) marks it."""
+    order = _row_order(rows)
+    differs = np.zeros(len(rows) - 1, dtype=bool)
+    for col in rows.T:
+        col = col[order]
+        differs |= col[1:] != col[:-1]
+    keep = new[order]
+    keep[1:] &= differs
+    return order[keep]
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(x):
+    """The splitmix64 finalizer, a bijection of 64-bit words, on a Python
+    int or elementwise on a uint64 array."""
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+    return x ^ (x >> 31)
+
+
+# one fixed odd multiplier per column, at most 16 (eight two-limb
+# coordinates); unrelated constants, since a row hash that is linear in
+# its columns collides on rows x, y with sum((x - y) * C) = 0 mod 2**64
+_HASH_MULS = [np.uint64(_mix64(k * 0x9E3779B97F4A7C15 & _MASK64) | 1)
+              for k in range(1, 17)]
+
+
+def _row_hash(rows):
+    """A uint64 hash of each int64 row: the sum of its columns times fixed
+    odd constants, mod 2**64, then ``_mix64``, so that the top bits depend
+    on every bit of the row.  Equal rows hash equal; callers compare rows
+    that share a hash exactly."""
+    h = np.zeros(len(rows), dtype=np.uint64)
+    term = np.empty_like(h)
+    for col, mul in zip(rows.T, _HASH_MULS):
+        np.multiply(col.view(np.uint64), mul, out=term)
+        h += term
+    return _mix64(h)
+
+
+def _count_distinct(rows, hashes) -> int:
+    """The number of distinct rows among C-contiguous int64 rows, given
+    their ``_row_hash`` values.
+
+    One in-place ``np.sort`` of the hashes, with the row positions packed
+    into their low bits as in ``_row_order``, puts rows that share the top
+    bits of their hash next to each other.  Neighbours in such a run are
+    compared exactly, each row read as one opaque byte string.  A run whose
+    rows are all equal counts once; a run that holds two different rows is
+    counted exactly with a Python set over that run only.
+    """
+    n = len(rows)
+    ib = (n - 1).bit_length()
+    mask = np.uint64((1 << ib) - 1)
+    key = hashes & ~mask
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort()
+    order = (key & mask).view(np.int64)
+    key >>= np.uint64(ib)
+    eq = key[1:] == key[:-1]
+    del key
+    pairs = np.flatnonzero(eq)
+    distinct = n - len(pairs)
+    if not len(pairs):
+        return distinct
+    # each row as one void item; the rows of every run of two or more,
+    # gathered once in sorted order: a run's rows are neighbours there
+    items = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+    members = np.flatnonzero(np.append(eq, False) | np.insert(eq, 0, False))
+    gathered = items[order[members]]
+    differs = gathered[1:] != gathered[:-1]
+    del gathered
+    bad = members[np.flatnonzero(differs & eq[members[:-1]])]
+    if len(bad):
+        starts = np.append(np.flatnonzero(np.insert(~eq, 0, True)), n)
+        for r in np.unique(np.searchsorted(starts, bad, side="right") - 1):
+            run = rows[order[starts[r]:starts[r + 1]]]
+            distinct += len(set(map(tuple, run.tolist()))) - 1
+    return distinct
+
+
 # -- integer matrices, optionally scaled by 1/sqrt(p) ----------------------
-
-
-def _int_entries(g: MoebiusElement):
-    row = []
-    for v in (g.a, g.b, g.c, g.d):
-        if v.b != 0 or v.a.denominator != 1:
-            return None
-        row.append(v.a.numerator)
-    return tuple(row)
 
 
 def _scaled_entries(g: MoebiusElement, p: int):
@@ -276,7 +371,10 @@ class _IntCodec:
         product of two scaled elements is divisible by p and M1*M2/p lies
         in Gamma0(p) again.
         """
-        row = _int_entries(g)
+        try:
+            row = integer_entries(g)
+        except NotIntegral:
+            row = None
         p = self.p
         if p is None:
             return row
@@ -567,30 +665,49 @@ class _Search:
                 older = _py_rows(older, self.width)
                 last = last.tolist()
             kind = step
-            make = self._py_level if kind is _PY else self._np_level
-            rows, last = make(frontier, last, older)
+            if kind is _PY:
+                rows, last = self._py_level(frontier, last, older)
+                new = len(rows)
+            else:
+                rows, last, new = self._np_level(frontier, last, older,
+                                                 level == max_len)
             older = frontier
-            if not len(rows):
+            if not new:
                 break
-            self.levels.append(rows)
+            if level < max_len:
+                self.levels.append(rows)
             self._record(rows, level)
             frontier = rows
-            self.states += len(rows)
+            self.states += new
             self.max_level = level
             if self.states > self.cap:
                 raise StateExplosion(
                     f"state count {self.states} exceeds cap {self.cap}")
 
-    def _np_level(self, frontier, last, older):
-        parts, part_dirs = [], []
+    def _candidates(self, frontier, last):
+        # per direction j, the columns of the canonical products x*dirs[j]
+        # over the frontier rows x not reached by the inverse step
         for j, gen in enumerate(self.dirs):
             sub = frontier[last != self.inv_idx[j]]
             if len(sub):
-                cols = self.codec.np_mul(_columns(sub, self.width), gen)
-                parts.append(_stack(cols))
-                part_dirs.append(np.full(len(sub), j, dtype=np.int16))
+                yield j, self.codec.np_mul(_columns(sub, self.width), gen)
+
+    def _np_level(self, frontier, last, older, final=False):
+        """The level after ``frontier`` on numpy rows, as (rows, directions,
+        number of new states): its new rows in numeric row order, each with
+        the direction that reached it.
+
+        The ``final`` level is never a frontier and no witness is looked up
+        in it, so it is counted, not sorted: see ``_np_final``.
+        """
+        if final:
+            return self._np_final(frontier, last, older)
+        parts, part_dirs = [], []
+        for j, cols in self._candidates(frontier, last):
+            parts.append(_stack(cols))
+            part_dirs.append(np.full(len(parts[-1]), j, dtype=np.int16))
         if not parts:
-            return frontier[:0], last[:0]
+            return frontier[:0], last[:0], 0
         n_old = len(older) + len(frontier)
         rows = np.concatenate([older, frontier, *parts])
         dirs = np.concatenate(part_dirs)
@@ -598,15 +715,51 @@ class _Search:
         # numeric row order, stable: within equal rows the two old levels
         # come first and the candidates follow in generation order, so the
         # first of each run of equal rows is kept only if it is new
-        order = _row_order(rows)
-        differs = np.zeros(len(rows) - 1, dtype=bool)
-        for col in rows.T:
-            col = col[order]
-            differs |= col[1:] != col[:-1]
-        keep = order >= n_old
-        keep[1:] &= differs
-        kept = order[keep]
-        return rows[kept], dirs[kept - n_old]
+        kept = _first_new(rows, np.arange(len(rows)) >= n_old)
+        return rows[kept], dirs[kept - n_old], len(kept)
+
+    def _np_final(self, frontier, last, older):
+        """The last level: its number of new states, and its in-bound new
+        rows in numeric row order, with no directions.
+
+        The rows of the two old levels and the candidates are copied once
+        into one array, with their hashes and in-bound flags; each
+        direction's candidates go in as one column-major block of the
+        columns np_mul returns, and are never concatenated as rows.
+        ``_count_distinct`` counts the distinct rows.  The two old levels
+        are disjoint and deduplicated, so the rest are new.  Equal rows
+        have equal traces, so ``_first_new`` over the in-bound rows alone
+        gives exactly the in-bound part of the level that ``_np_level``
+        would make, in the same order.
+        """
+        n_old = len(older) + len(frontier)
+        # every frontier row but the identity was reached by one direction
+        # and skips the one step back, its inverse
+        n = (n_old + len(self.dirs) * len(frontier)
+             - int(np.count_nonzero(last >= 0)))
+        if n == n_old:
+            return frontier[:0], None, 0
+        rows = np.empty((n, frontier.shape[1]), dtype=np.int64)
+        hashes = np.empty(n, dtype=np.uint64)
+        in_bound = np.empty(n, dtype=bool)
+        parts = [(old, _columns(old, self.width)) for old in (older, frontier)]
+        candidates = ((np.stack(_flat(cols)).T, cols)
+                      for _, cols in self._candidates(frontier, last))
+        at = 0
+        for part, cols in chain(parts, candidates):
+            end = at + len(part)
+            rows[at:end] = part
+            hashes[at:end] = _row_hash(part)
+            in_bound[at:end] = self.codec.np_in_bound(cols)
+            at = end
+        assert at == n
+        new = _count_distinct(rows, hashes) - n_old
+        idx = np.flatnonzero(in_bound)
+        inside = rows[idx]
+        del rows, hashes
+        if not len(idx):
+            return inside, None, new
+        return inside[_first_new(inside, idx >= n_old)], None, new
 
     def _py_level(self, frontier, last, older):
         # the rule of _np_level on lists: a stable sort of the two old

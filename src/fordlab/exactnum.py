@@ -289,6 +289,12 @@ class QuadValue:
     def b(self) -> Fraction:
         return Fraction(self._q, self._n)
 
+    def ints(self) -> tuple[int, int, int]:
+        """The integers (p, q, n) of the value (p + q*sqrt(m))/n, with
+        n > 0 and gcd(p, q, n) = 1: a = p/n and b = q/n, with no Fraction
+        built."""
+        return self._p, self._q, self._n
+
     # -- predicates ----------------------------------------------------
 
     @property

@@ -34,7 +34,8 @@ class ElementClass(Enum):
 
 
 def _canonically_positive(v: QuadValue) -> bool:
-    return v.a > 0 or (v.a == 0 and v.b > 0)
+    p, q, _ = v.ints()
+    return p > 0 or (p == 0 and q > 0)
 
 
 class MoebiusElement:
@@ -51,7 +52,7 @@ class MoebiusElement:
         a, b, c, d = qv(a), qv(b), qv(c), qv(d)
         ring = 0
         for v in (a, b, c, d):
-            if v.b != 0:
+            if not v.is_rational:
                 if ring and v.m != ring:
                     raise MixedRadicand("matrix entries span two quadratic rings")
                 ring = v.m
@@ -181,7 +182,8 @@ def canonicalize_trace(t: QuadValue) -> QuadValue:
     totalizes the plus-minus identification for set semantics.
     """
     t = qv(t)
-    if t.a < 0 or (t.a == 0 and t.b < 0):
+    p, q, _ = t.ints()
+    if p < 0 or (p == 0 and q < 0):
         return -t
     return t
 
@@ -189,18 +191,21 @@ def canonicalize_trace(t: QuadValue) -> QuadValue:
 # -- congruence predicates ----------------------------------------------------
 
 
-def _integer_entries(x: MoebiusElement) -> tuple[int, int, int, int]:
+def integer_entries(x: MoebiusElement) -> tuple[int, int, int, int]:
+    """The entries (a, b, c, d) of x as ints; NotIntegral unless every entry
+    is a rational integer."""
     out = []
     for v in (x.a, x.b, x.c, x.d):
-        if v.b != 0 or v.a.denominator != 1:
+        p, q, n = v.ints()
+        if q or n != 1:
             raise NotIntegral(f"entry {v} is not a rational integer")
-        out.append(v.a.numerator)
+        out.append(p)
     return tuple(out)
 
 
 def in_pslz(x: MoebiusElement) -> bool:
     try:
-        _integer_entries(x)
+        integer_entries(x)
     except NotIntegral:
         return False
     return True
@@ -210,7 +215,7 @@ def in_gamma0(x: MoebiusElement, n: int) -> bool:
     """Membership in the mod-n upper-triangular congruence subgroup."""
     if n < 1:
         raise ValueError("modulus must be positive")
-    _, _, c, _ = _integer_entries(x)
+    _, _, c, _ = integer_entries(x)
     return c % n == 0
 
 
@@ -218,7 +223,7 @@ def in_principal(x: MoebiusElement, n: int) -> bool:
     """Membership in the mod-n principal congruence subgroup (either sign lift)."""
     if n < 1:
         raise ValueError("modulus must be positive")
-    a, b, c, d = _integer_entries(x)
+    a, b, c, d = integer_entries(x)
     for s in (1, -1):
         if ((s * a - 1) % n == 0 and (s * b) % n == 0
                 and (s * c) % n == 0 and (s * d - 1) % n == 0):

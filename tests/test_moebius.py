@@ -11,10 +11,12 @@ from fordlab.moebius import (
     ElementClass,
     MoebiusElement,
     NotIntegral,
+    _canonically_positive,
     bianchi_omega,
     canonicalize_trace,
     from_ints,
     identity,
+    integer_entries,
     in_bianchi,
     in_gamma0,
     in_normalizer,
@@ -228,3 +230,32 @@ def test_apply_to_point_matches_fraction_formula(a, c, k, x, y):
     den = (c * x + d) * (c * x + d) + c * c * y * y
     u, v = from_ints(a, b, c, d).apply_to_point(QuadValue(x), QuadValue(y))
     assert (u, v) == (QuadValue(num_re / den), QuadValue(y / den))
+
+
+_small_rats = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@given(a=_rats | _small_rats, b=_rats | _small_rats,
+       m=st.integers(-19, 19) | st.sampled_from([4, 12, -8]))
+def test_int_sign_tests_match_fraction_formulas(a, b, m):
+    v = QuadValue(a, b, m)
+    p, q, n = v.ints()
+    assert n > 0 and gcd(gcd(p, q), n) == 1
+    assert (Fraction(p, n), Fraction(q, n)) == (v.a, v.b)
+    positive = v.a > 0 or (v.a == 0 and v.b > 0)
+    assert _canonically_positive(v) is positive
+    negative = v.a < 0 or (v.a == 0 and v.b < 0)
+    assert canonicalize_trace(v) == (-v if negative else v)
+    # the sign normalization of a matrix: its first nonzero entry of
+    # (c, a, b, d) becomes canonically positive
+    if not v.is_zero():
+        g = MoebiusElement(v, 0, 1, v.inverse())
+        assert g.c == QuadValue(1) and g.a == v
+        g = MoebiusElement(v, 1, 0, v.inverse())
+        assert g.a == (v if positive else -v)
+    if v.is_rational and v.a.denominator == 1:
+        k = int(v.a)
+        assert integer_entries(MoebiusElement(1, v, 0, 1)) == (1, k, 0, 1)
+    else:
+        with pytest.raises(NotIntegral):
+            integer_entries(MoebiusElement(1, v, 0, 1))

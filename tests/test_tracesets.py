@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fordlab import _bfs
 from fordlab._bfs import (
     _columns,
     _ExactCodec,
@@ -386,6 +387,90 @@ def test_pair_kernel_matches_reference_on_random_bianchi(d, words, max_len,
     assume(isinstance(_make_codec(gens, Fraction(bound)), _PairCodec))
     _assert_matches_reference(gens, enumerate_traces(gens, max_len, bound),
                               max_len, bound, same_words=d % 4 != 3)
+
+
+def _assert_collisions_change_nothing(gens, max_len, bound, low_bits,
+                                      same_words=True):
+    """A run whose row hash keeps only the low bits of the first column (0
+    bits: every row collides) equals the plain run and the reference.
+    Returns the row widths that the degenerate hash saw."""
+    plain = enumerate_traces(gens, max_len, bound)
+    widths = set()
+
+    def degenerate(rows):
+        widths.add(rows.shape[1])
+        return rows[:, 0].view(np.uint64) & np.uint64((1 << low_bits) - 1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_bfs, "_row_hash", degenerate)
+        forced = enumerate_traces(gens, max_len, bound)
+    assert forced.traces == plain.traces
+    assert forced.states_explored == plain.states_explored
+    assert forced.max_len_reached == plain.max_len_reached
+    _assert_matches_reference(gens, forced, max_len, bound, same_words)
+    return widths
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens=st.lists(_SL2Z, min_size=1, max_size=3),
+       max_len=st.integers(1, 4), bound=st.integers(0, 40),
+       low_bits=st.sampled_from([0, 2]))
+def test_final_level_count_survives_hash_collisions_sl2z(gens, max_len, bound,
+                                                         low_bits):
+    _assert_collisions_change_nothing(gens, max_len, bound, low_bits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 7, 19]),
+       words=st.lists(_BIANCHI_WORD, min_size=1, max_size=3),
+       max_len=st.sampled_from([4, 3, 2]), bound=st.integers(0, 40),
+       low_bits=st.sampled_from([0, 2]))
+def test_final_level_count_survives_hash_collisions_bianchi(d, words, max_len,
+                                                            bound, low_bits):
+    gens = [_bianchi_gen(d, word) for word in words]
+    assume(isinstance(_make_codec(gens, Fraction(bound)), _PairCodec))
+    _assert_collisions_change_nothing(gens, max_len, bound, low_bits,
+                                      same_words=d % 4 != 3)
+
+
+# generator sets whose final level runs on int64 rows and on two-limb rows:
+# the final row width, in int64 columns, for each
+_FINAL_LEVELS = [
+    ([from_ints(1, -1, 1, 0), T5], 6, 4),
+    ([from_ints(1, 1 << 20, 0, 1), from_ints(1, 0, 1 << 20, 1)], 4, 8),
+    ([MoebiusElement(bianchi_omega(3), -1, 1, 0), from_ints(1, 3, 0, 1)], 4, 8),
+    ([MoebiusElement(bianchi_omega(1), -1, 1, 0),
+      from_ints(1, 0, 1 << 29, 1)], 3, 16),
+]
+_FINAL_IDS = ["sl2z-int64", "sl2z-two-limb", "bianchi-int64",
+              "bianchi-two-limb"]
+
+
+@pytest.mark.parametrize("gens, max_len, width", _FINAL_LEVELS, ids=_FINAL_IDS)
+@pytest.mark.parametrize("low_bits", [0, 2])
+def test_forced_collisions_on_both_final_level_kinds(gens, max_len, width,
+                                                     low_bits):
+    widths = _assert_collisions_change_nothing(gens, max_len, 20, low_bits,
+                                               same_words=False)
+    assert max(widths) == width
+
+
+@pytest.mark.parametrize("gens, max_len, width", _FINAL_LEVELS, ids=_FINAL_IDS)
+def test_state_cap_boundary_on_final_level(monkeypatch, gens, max_len, width):
+    widths = []
+    row_hash = _bfs._row_hash
+    monkeypatch.setattr(_bfs, "_row_hash",
+                        lambda rows: widths.append(rows.shape[1])
+                        or row_hash(rows))
+    total = enumerate_traces(gens, max_len, 20).states_explored
+    assert widths[-1] == width
+    # the final level adds at least two states, so a cap of total - 1
+    # is first exceeded there
+    assert enumerate_traces(gens, max_len - 1, 20).states_explored < total - 1
+    capped = enumerate_traces(gens, max_len, 20, state_cap=total)
+    assert (capped.states_explored, capped.max_len_reached) == (total, max_len)
+    with pytest.raises(StateExplosion, match=f"state count {total} exceeds"):
+        enumerate_traces(gens, max_len, 20, state_cap=total - 1)
 
 
 def test_exact_codec_caps_squared_modulus_for_imaginary_entries():
