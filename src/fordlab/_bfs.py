@@ -9,28 +9,23 @@ search; Korf et al., "Frontier Search", J. ACM 52(5), 2005).  Earlier
 levels stay as sorted rows only, so that witness words can be traced back
 by binary search.
 
-A ring codec encodes the states:
-
-* ``_IntCodec``: rational-integer matrices, or, given a radicand p, the
-  normalizer generators (integer matrices in Gamma0(p) and Atkin-Lehner
-  elements M/sqrt(p)) as integer rows with one scale column;
-* ``_PairCodec``: imaginary-quadratic integer matrices in ring coordinates;
-* ``_ExactCodec``: MoebiusElement states, for input with no proven integer
-  encoding.
+A ring codec encodes the states: ``_IntCodec`` rational-integer matrices,
+or, given a radicand p, the normalizer generators (integer matrices in
+Gamma0(p) and Atkin-Lehner elements M/sqrt(p)) as integer rows with one
+scale column; ``_PairCodec`` imaginary-quadratic integer matrices in ring
+coordinates; ``_ExactCodec`` MoebiusElement states, for input with no
+proven integer encoding.
 
 Integer rows run on three kinds of level, each taken while a per-level
 guard proves that the next products fit it: int64 numpy rows; two-limb
 numpy rows, which hold each coordinate x as the int64 pair
-(x >> 31, x & (2**31 - 1)); and exact Python ints from then on.  Two-limb
-rows sort by their limbs in the numeric order of their coordinates, so the
-row order of a level, which decides which state becomes a trace's witness,
-is the same on every kind of level and results are deterministic.
-
-The last numpy level of a search is counted, not sorted: it is never a
-frontier, and no witness is looked up in it.  Its rows are hashed to one
-uint64 each, rows that share a hash are compared exactly, and a run of
-equal hashes over different rows is counted with a Python set.  Only its
-in-bound rows, which choose the witnesses, are put in row order.
+(x >> 31, x & (2**31 - 1)); and exact Python ints from then on.  A product
+x*g is linear in the row x, with one integer matrix per direction g read
+off the codec's own product.  Numpy levels apply it as int64 sums: on two
+limbs the same sums over the hi and over the lo limbs, then one carry per
+coordinate.  Two-limb rows sort in the numeric order of their coordinates,
+so a level's row order, which picks each trace's witness, is the same on
+every kind of level.  The last numpy level is counted by row hash.
 """
 
 from __future__ import annotations
@@ -43,20 +38,15 @@ from math import isqrt
 import numpy as np
 
 from fordlab.exactnum import MixedRadicand, QuadValue
-from fordlab.moebius import (
-    MoebiusElement,
-    NotIntegral,
-    identity,
-    integer_entries,
-    omega_coords,
-)
+from fordlab.moebius import NotIntegral, identity, integer_entries, omega_coords
 from fordlab.tracesets import DEFAULT_STATE_CAP, EnumerationResult, StateExplosion
 
 _INT64_GUARD = 1 << 61
-# two-limb levels (see _Search._kind): the bound on the products' entries,
-# and on the generator entries and ring constants that multiply limbs
+# two-limb levels (see _Search._kind): bounds on the products' entries, on
+# generator entries and ring constants, and on coefficient sums
 _WIDE_GUARD = 1 << 91
 _WIDE_FACTOR = 1 << 30
+_WIDE_FORM = 1 << 32
 _LIMB_BITS = 31
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
@@ -83,15 +73,11 @@ def _directions(gens):
 
 class _Limbs:
     """A column of integers x = hi * 2**31 + lo, 0 <= lo < 2**31, held as two
-    int64 arrays.
-
-    It supports what the codecs' numpy formulas use: +, unary -, int - x,
-    * by a Python int or an int64 array of factors below 2**31 in absolute
-    value, // by positive divisors below 2**32, abs, <= and ``sign``.  Every
-    result is normalized again, so a value has one representation and the
-    limb pairs (hi, lo) order like the values.  The caller bounds the
-    values (see ``_Search._kind``).
-    """
+    int64 arrays.  ``_carry`` brings limb sums back to this form, in which
+    the limb pairs (hi, lo) order like the values.  Products are linear
+    forms over the limbs (``_linear``); a column also supports // by
+    positive divisors below 2**32, <= and ``sign``.  The caller bounds the
+    values (see ``_Search._kind``)."""
 
     __slots__ = ("hi", "lo")
 
@@ -100,47 +86,62 @@ class _Limbs:
 
     @staticmethod
     def _carry(hi, lo):
-        return _Limbs(hi + (lo >> _LIMB_BITS), lo & _LIMB_MASK)
-
-    @staticmethod
-    def _of(y):
-        if isinstance(y, _Limbs):
-            return y
-        return _Limbs(np.int64(y >> _LIMB_BITS), np.int64(y & _LIMB_MASK))
-
-    def __add__(self, y):
-        y = self._of(y)
-        return self._carry(self.hi + y.hi, self.lo + y.lo)
-
-    def __neg__(self):
-        return self._carry(-self.hi, -self.lo)
-
-    def __rsub__(self, y):
-        return self._of(y) + -self
-
-    def __mul__(self, k):
-        return self._carry(self.hi * k, self.lo * k)
-
-    __rmul__ = __mul__
+        # in place: the caller owns both arrays
+        hi += lo >> _LIMB_BITS
+        lo &= _LIMB_MASK
+        return _Limbs(hi, lo)
 
     def __floordiv__(self, q):
         hi, r = np.divmod(self.hi, q)
         return _Limbs(hi, ((r << _LIMB_BITS) | self.lo) // q)
-
-    def __abs__(self):
-        return self * self.sign()
 
     def __le__(self, limit):
         lim_hi, lim_lo = limit >> _LIMB_BITS, limit & _LIMB_MASK
         return (self.hi < lim_hi) | ((self.hi == lim_hi) & (self.lo <= lim_lo))
 
     def sign(self):
-        return np.where(self.hi != 0, np.sign(self.hi), np.sign(self.lo))
+        return np.sign(self.hi | (self.lo != 0))    # bit 0 keeps hi's sign
 
 
 def _sign(col):
     """The elementwise sign of an int64 or a limb column."""
     return col.sign() if isinstance(col, _Limbs) else np.sign(col)
+
+
+def _within(col, limit):
+    """|col| <= limit elementwise, for an int64 or a limb column and a
+    Python int of any size: numpy compares int64 with it exactly."""
+    return (col <= limit) & ~(col <= -limit - 1)
+
+
+def _linear(cols, form):
+    """The columns sum_k form[i][k] * cols[k], one per row i of the form,
+    summed in place, zero coefficients skipped: int64 columns directly,
+    limb columns as the same sums over the hi and over the lo arrays, then
+    one carry per column."""
+    if isinstance(cols[0], _Limbs):
+        return list(map(_Limbs._carry, _linear([c.hi for c in cols], form),
+                        _linear([c.lo for c in cols], form)))
+    out, term = [], np.empty_like(cols[0])
+    for coefs in form:
+        terms = [(c, x) for c, x in zip(coefs, cols) if c] or [(0, cols[0])]
+        out.append(terms[0][1] * terms[0][0])
+        for c, x in terms[1:]:
+            out[-1] += np.multiply(x, c, out=term)
+    return out
+
+
+def _make_positive(cols, leads):
+    """Columns times the sign of the first nonzero lead column in each row,
+    in place: both halves of a limb column, then one carry."""
+    sgn = 0
+    for s in map(_sign, reversed(leads)):
+        sgn = np.where(s != 0, s, sgn)
+    for half in _flat(cols):
+        half *= sgn
+    if isinstance(cols[0], _Limbs):
+        return [_Limbs._carry(col.hi, col.lo) for col in cols]
+    return cols
 
 
 def _columns(rows, width):
@@ -159,11 +160,6 @@ def _flat(cols):
     return cols
 
 
-def _stack(cols):
-    """Rows from columns, two limbs per coordinate for limb columns."""
-    return np.stack(_flat(cols), axis=1)
-
-
 def _widen(rows):
     """int64 rows as two-limb rows."""
     out = np.empty((len(rows), 2 * rows.shape[1]), dtype=np.int64)
@@ -173,13 +169,10 @@ def _widen(rows):
 
 
 def _py_rows(rows, width):
-    """int64 or two-limb numpy rows as tuples of Python ints, or one such
-    row as one tuple."""
-    if rows.shape[-1] != width:
-        rows = ((rows[..., 0::2].astype(object) << _LIMB_BITS)
-                + rows[..., 1::2].astype(object))
-    if rows.ndim == 1:
-        return tuple(rows.tolist())
+    """int64 or two-limb numpy rows as tuples of Python ints."""
+    if rows.shape[1] != width:
+        rows = ((rows[:, 0::2].astype(object) << _LIMB_BITS)
+                + rows[:, 1::2].astype(object))
     return list(map(tuple, rows.tolist()))
 
 
@@ -198,14 +191,12 @@ def _row_order(rows):
     Two-limb rows sort by (hi, lo) per coordinate, which is their numeric
     order, since 0 <= lo < 2**31.
 
-    Every span fits uint64, and ``col - col.min()`` cannot overflow int64,
-    on both kinds of numpy level.  The ``_Search._kind`` guards keep every
-    entry of an int64 level below P < 2**61 in absolute value, so a span is
-    below 2**62.  On a two-limb level the coordinates y have |y| <= P <
-    2**91, so |hi| <= |y| / 2**31 + 1 < 2**60 + 1 and hi spans are below
-    2**62, while 0 <= lo < 2**31.  The two earlier levels that a new level
-    is sorted with passed the same guards when they were made, and a
-    widened int64 level has |hi| <= 2**30.
+    Every span fits uint64, and ``col - col.min()`` cannot overflow int64:
+    the ``_Search._kind`` guards keep the entries of an int64 level below
+    2**61 in absolute value, and the coordinates y of a two-limb level
+    below 2**91, so |hi| <= |y| / 2**31 + 1 < 2**60 + 1 (0 <= lo < 2**31).
+    The two earlier levels that a new level is sorted with passed the same
+    guards, and a widened int64 level has |hi| <= 2**30.
     """
     n = len(rows)
     ib = (n - 1).bit_length()
@@ -244,6 +235,8 @@ def _first_new(rows, new):
     """The indices of the new rows among int64 rows, once each, in numeric
     row order: the first row of each run of equal rows in the stable row
     order, kept only if ``new`` (a mask over the rows) marks it."""
+    if not len(rows):
+        return np.arange(0)
     order = _row_order(rows)
     differs = np.zeros(len(rows) - 1, dtype=bool)
     for col in rows.T:
@@ -329,17 +322,6 @@ def _count_distinct(rows, hashes) -> int:
 # -- integer matrices, optionally scaled by 1/sqrt(p) ----------------------
 
 
-def _scaled_entries(g: MoebiusElement, p: int):
-    """The integer matrix M with g = M / sqrt(p), or None."""
-    row = []
-    for v in (g.a, g.b, g.c, g.d):
-        x = v.b * p
-        if v.a != 0 or v.m not in (0, p) or x.denominator != 1:
-            return None
-        row.append(x.numerator)
-    return tuple(row)
-
-
 class _IntCodec:
     """Integer matrices [[a, b], [c, d]] as rows (a, b, c, d).
 
@@ -355,6 +337,8 @@ class _IntCodec:
     def __init__(self, bound: Fraction, p: int | None = None):
         self.p = p
         self.ident = (1, 0, 0, 1) if p is None else (1, 0, 0, 1, 0)
+        # the columns trace_key reads: a + d, and the scale e
+        self.trace_form = [(1, 0, 0, 1)] + [(0, 0, 0, 0, 1)] * (p is not None)
         self.bound_floor = bound.numerator // bound.denominator
         # largest m with m*sqrt(p) <= bound
         self.rad_floor = -1
@@ -380,14 +364,17 @@ class _IntCodec:
             return row
         if row is not None:
             return None if row[2] % p else row + (0,)
-        row = _scaled_entries(g, p)
-        if row is None or row[0] % p or row[2] % p or row[3] % p:
-            return None
-        return row + (1,)
+        row = []    # the integer matrix M with g = M / sqrt(p)
+        for v in (g.a, g.b, g.c, g.d):
+            x = v.b * p
+            if v.a != 0 or v.m not in (0, p) or x.denominator != 1:
+                return None
+            row.append(x.numerator)
+        return None if row[0] % p or row[2] % p or row[3] % p else (*row, 1)
 
     @staticmethod
     def _product(x, y):
-        # entries of x*y, for x as Python ints or as numpy columns
+        # entries of x*y
         a, b, c, d = x[:4]
         p, q, r, s = y[:4]
         return [a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s]
@@ -403,30 +390,27 @@ class _IntCodec:
                 break
         return tuple(row) if self.p is None else (*row, x[4] ^ y[4])
 
-    def np_mul(self, cols, gen):
-        # the columns of the canonical rows x*gen, for int64 or limb columns
-        prod = self._product(cols, gen)
+    def np_mul(self, cols, gen, form):
+        # the int64 or limb columns of the canonical rows x*gen, by form
+        prod = _linear(cols, form)
         if self.p is not None:
             e = cols[4]
             if gen[4]:
                 # e is 0 or 1: divide the rows of two scaled states by p
-                prod = [v // (1 + (self.p - 1) * _sign(e)) for v in prod]
-                e = 1 - e
+                div = 1 + (self.p - 1) * _sign(e)
+                prod = [v // div for v in prod]
+                e = _Limbs(e.hi, e.lo ^ 1) if isinstance(e, _Limbs) else e ^ 1
             prod.append(e)
         # the first nonzero entry of (c, a, b, d) becomes positive
-        sgn = 0
-        for col in (3, 1, 0, 2):
-            s = _sign(prod[col])
-            sgn = np.where(s != 0, s, sgn)
-        return [v * sgn for v in prod[:4]] + prod[4:]
+        leads = [prod[2], prod[0], prod[1], prod[3]]
+        return _make_positive(prod[:4], leads) + prod[4:]
 
-    def np_in_bound(self, cols):
-        # numpy compares int64 with Python ints of any size exactly
-        size = abs(cols[0] + cols[3])
+    def np_in_bound(self, traces):
         if self.p is None:
-            return size <= self.bound_floor
-        return np.where(_sign(cols[4]) > 0, size <= self.rad_floor * self.p,
-                        size <= self.bound_floor)
+            return _within(traces[0], self.bound_floor)
+        return np.where(_sign(traces[1]) > 0,
+                        _within(traces[0], self.rad_floor * self.p),
+                        _within(traces[0], self.bound_floor))
 
     def trace_key(self, row):
         s = abs(row[0] + row[3])
@@ -442,19 +426,6 @@ class _IntCodec:
 # -- imaginary quadratic integer matrices ------------------------------------
 
 
-def _pair_entries(g: MoebiusElement, d: int):
-    row = []
-    for v in (g.a, g.b, g.c, g.d):
-        try:
-            u, w = omega_coords(v, d)
-        except MixedRadicand:
-            return None
-        if u.denominator != 1 or w.denominator != 1:
-            return None
-        row.extend((u.numerator, w.numerator))
-    return tuple(row)
-
-
 class _PairCodec:
     """Matrices with entries u + v*omega in the integers of Q(sqrt(-d)),
     stored as rows of eight coordinates (u, v) for a, b, c, d."""
@@ -465,6 +436,8 @@ class _PairCodec:
         self.e1, self.e0 = (1, -(1 + d) // 4) if d % 4 == 3 else (0, -d)
         self.growth = 2 + abs(self.e0) + abs(self.e1)
         self.ident = (1, 0, 0, 0, 0, 0, 1, 0)
+        # the columns trace_key reads: a + d in ring coordinates
+        self.trace_form = [(1, 0, 0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0, 0, 1)]
         self.bound4_num = 4 * bound.numerator
         self.bound_den = bound.denominator
         # |tu|, |tv| <= 2*sqrt(bound) for every trace tu + tv*omega in bound
@@ -472,7 +445,16 @@ class _PairCodec:
         self.np_limit = 2 * isqrt(max(0, ceil)) + 2
 
     def entries(self, g):
-        return _pair_entries(g, self.d)
+        row = []
+        for v in (g.a, g.b, g.c, g.d):
+            try:
+                u, w = omega_coords(v, self.d)
+            except MixedRadicand:
+                return None
+            if u.denominator != 1 or w.denominator != 1:
+                return None
+            row.extend((u.numerator, w.numerator))
+        return tuple(row)
 
     def _sign(self, u, v):
         # sign of the canonical-positivity functional for u + v*omega
@@ -480,7 +462,7 @@ class _PairCodec:
         return (lead > 0) - (lead < 0) if lead else (v > 0) - (v < 0)
 
     def _product(self, x, y):
-        # coordinates of x*y, for x as Python ints or as numpy columns
+        # coordinates of x*y
         out = []
         for xu, xv, yu, yv in (x[0:4], x[4:8]):
             for gu, gv, hu, hv in ((y[0], y[1], y[4], y[5]),
@@ -499,21 +481,19 @@ class _PairCodec:
                 return tuple(row) if s > 0 else tuple(-v for v in row)
         return tuple(row)
 
-    def np_mul(self, cols, gen):
-        # the columns of the canonical rows x*gen, for int64 or limb columns
-        prod = self._product(cols, gen)
-        # the first nonzero entry of (c, a, b, d) becomes canonically positive
-        sgn = 0
-        for off in (6, 2, 0, 4):
-            u, v = prod[off], prod[off + 1]
-            lead = _sign(2 * u + v if self.d % 4 == 3 else u)
-            s = np.where(lead != 0, lead, _sign(v))
-            sgn = np.where(s != 0, s, sgn)
-        return [v * sgn for v in prod]
+    def np_mul(self, cols, gen, form):
+        # the int64 or limb columns of the canonical rows x*gen, by form
+        prod = _linear(cols, form)
+        # the first nonzero of (lead, v) over (c, a, b, d) becomes positive
+        leads = []
+        for u, v in (prod[4:6], prod[0:2], prod[2:4], prod[6:8]):
+            lead = _linear([u, v], [(2, 1)])[0] if self.d % 4 == 3 else u
+            leads += [lead, v]
+        return _make_positive(prod, leads)
 
-    def np_in_bound(self, cols):
-        tu, tv = cols[0] + cols[6], cols[1] + cols[7]
-        return (abs(tu) <= self.np_limit) & (abs(tv) <= self.np_limit)
+    def np_in_bound(self, traces):
+        tu, tv = traces
+        return _within(tu, self.np_limit) & _within(tv, self.np_limit)
 
     def trace_key(self, row):
         tu, tv = row[0] + row[6], row[1] + row[7]
@@ -595,7 +575,7 @@ def _contains(rows, state) -> bool:
     key = None
     if isinstance(rows, np.ndarray):
         width = len(state)
-        key = lambda row: _py_rows(row, width)
+        key = lambda row: _py_rows(row[None], width)[0]
     i = bisect_left(rows, state, key=key)
     return i < len(rows) and (key(rows[i]) if key else rows[i]) == state
 
@@ -609,6 +589,15 @@ class _Search:
         self.dirs = [self.codec.entries(g) for g in dirs]
         self.width = len(codec.ident)    # coordinates per integer row
         self.cap = cap
+        if codec.growth is not None:
+            # x*g as linear forms in the row x: row i of g's matrix, read off
+            # the codec's own product of the unit rows with g, is coordinate i
+            units = np.eye(self.width, dtype=int).tolist()
+            self.forms = [list(zip(*(codec._product(u, g) for u in units)))
+                          for g in self.dirs]
+            self.gen_max = max(map(abs, chain(*self.dirs)), default=1)
+            self.form_max = max((sum(map(abs, coefs)) for form in self.forms
+                                 for coefs in form), default=0)
         self.levels = []      # per level: its states, sorted
         self.states = 1
         self.traces = {}      # trace key -> (level, state)
@@ -618,16 +607,21 @@ class _Search:
         """The kind of the next level: the first of int64, two-limb and
         Python-int levels, not before ``kind``, whose guard holds.
 
-        With F bounding the frontier's entries, G the generators' and
-        P = 2*F*G*growth, every entry of a product is at most P and every
-        value that np_mul and np_in_bound compute at most 2*P.  So int64
-        levels need P < 2**61.  On a two-limb level a value y has
-        |hi| <= |y| / 2**31 + 1; each product y*k by a factor |k| < 2**30
-        (a generator entry, a ring constant, 2 or a sign) is itself such a
-        value, so |hi*k| <= 2*P / 2**31 + 2**30, |lo*k| < 2**61 and the
-        carries are at most 2**30.  P < 2**91 keeps all of these, and the
-        sums of two limbs, below 2**63.  The Atkin-Lehner p divides an
-        entry of a generator, so p <= G.
+        Coordinate i of x*g is the form sum_k c_k x_k of row i of g's
+        matrix.  With F bounding the frontier's coordinates, G the
+        generators' entries, K the largest sum of |c_k| over a row of any
+        matrix and P = 2*F*G*growth, both integer codecs have
+        K <= 2*G*growth, so a partial sum of a form is at most K*F <= P and
+        every value computed from the rows at most 3*P (a lead 2u + v).
+        So int64 levels need P < 2**61.  Two-limb levels need K < 2**32 and
+        P < 2**91: as 0 <= lo < 2**31 and |hi| <= F / 2**31 + 1 for the
+        frontier, a sum of c_k * lo_k is below K * 2**31 < 2**63, a sum of
+        c_k * hi_k at most P / 2**31 + K, and |hi| < 2**60 + 2**33 after
+        the carry adds lo >> 31, inside ``_row_order``'s span bound.  The
+        carried pairs are canonical, later forms of them (2u + v, a + d)
+        have coefficient sums of at most 3, a sign multiplies both limbs by
+        -1, 0 or 1, and the Atkin-Lehner p divides a generator entry, so
+        p <= G < 2**30 and dividing carried limbs by p stays below 2**61.
         """
         if kind is _PY:
             return _PY
@@ -639,7 +633,8 @@ class _Search:
         bound = 2 * f * self.gen_max * growth
         if kind is _INT64 and bound < _INT64_GUARD:
             return _INT64
-        if max(self.gen_max, growth) < _WIDE_FACTOR and bound < _WIDE_GUARD:
+        if (max(self.gen_max, growth) < _WIDE_FACTOR
+                and self.form_max < _WIDE_FORM and bound < _WIDE_GUARD):
             return _WIDE
         return _PY
 
@@ -652,8 +647,6 @@ class _Search:
             kind = _INT64
             frontier = np.array(frontier, dtype=np.int64)
             last = np.array(last, dtype=np.int16)
-            self.gen_max = max((max(map(abs, row)) for row in self.dirs),
-                               default=1)
         older = frontier[:0]    # level L-2, in the form of the frontier
         self.levels.append(frontier)
         for level in range(1, max_len + 1):
@@ -686,25 +679,27 @@ class _Search:
 
     def _candidates(self, frontier, last):
         # per direction j, the columns of the canonical products x*dirs[j]
-        # over the frontier rows x not reached by the inverse step
-        for j, gen in enumerate(self.dirs):
-            sub = frontier[last != self.inv_idx[j]]
-            if len(sub):
-                yield j, self.codec.np_mul(_columns(sub, self.width), gen)
+        # over the frontier rows x not reached by the inverse step; each
+        # masked copy has contiguous columns and dies with np_mul
+        block = np.ascontiguousarray(frontier.T)
+        for j, (gen, form) in enumerate(zip(self.dirs, self.forms)):
+            keep = last != self.inv_idx[j]
+            if keep.any():
+                yield j, self.codec.np_mul(
+                    _columns(np.compress(keep, block, axis=1).T, self.width),
+                    gen, form)
 
     def _np_level(self, frontier, last, older, final=False):
         """The level after ``frontier`` on numpy rows, as (rows, directions,
         number of new states): its new rows in numeric row order, each with
-        the direction that reached it.
-
-        The ``final`` level is never a frontier and no witness is looked up
-        in it, so it is counted, not sorted: see ``_np_final``.
+        the direction that reached it.  The ``final`` level is counted, not
+        sorted: see ``_np_final``.
         """
         if final:
             return self._np_final(frontier, last, older)
         parts, part_dirs = [], []
         for j, cols in self._candidates(frontier, last):
-            parts.append(_stack(cols))
+            parts.append(np.stack(_flat(cols), axis=1))
             part_dirs.append(np.full(len(parts[-1]), j, dtype=np.int16))
         if not parts:
             return frontier[:0], last[:0], 0
@@ -720,7 +715,8 @@ class _Search:
 
     def _np_final(self, frontier, last, older):
         """The last level: its number of new states, and its in-bound new
-        rows in numeric row order, with no directions.
+        rows in numeric row order, with no directions.  It is never a
+        frontier, and no witness is looked up in it, so it is not sorted.
 
         The rows of the two old levels and the candidates are copied once
         into one array, with their hashes and in-bound flags; each
@@ -750,15 +746,14 @@ class _Search:
             end = at + len(part)
             rows[at:end] = part
             hashes[at:end] = _row_hash(part)
-            in_bound[at:end] = self.codec.np_in_bound(cols)
+            in_bound[at:end] = self.codec.np_in_bound(
+                _linear(cols, self.codec.trace_form))
             at = end
         assert at == n
         new = _count_distinct(rows, hashes) - n_old
         idx = np.flatnonzero(in_bound)
         inside = rows[idx]
         del rows, hashes
-        if not len(idx):
-            return inside, None, new
         return inside[_first_new(inside, idx >= n_old)], None, new
 
     def _py_level(self, frontier, last, older):
@@ -782,8 +777,13 @@ class _Search:
 
     def _record(self, rows, level):
         if isinstance(rows, np.ndarray):
-            cols = _columns(rows, self.width)
-            rows = _py_rows(rows[self.codec.np_in_bound(cols)], self.width)
+            # trace_key reads only the trace columns, so the first in-bound
+            # row of each distinct tuple of them is the first row of its key
+            traces = _linear(_columns(rows, self.width), self.codec.trace_form)
+            idx = np.flatnonzero(self.codec.np_in_bound(traces))
+            keys = np.stack([col[idx] for col in _flat(traces)], axis=1)
+            idx = idx[np.sort(_first_new(keys, np.ones(len(idx), bool)))]
+            rows = _py_rows(rows[idx], self.width)
         for row in rows:
             key = self.codec.trace_key(row)
             if key is not None and key not in self.traces:

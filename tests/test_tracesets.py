@@ -9,12 +9,17 @@ from fordlab import _bfs
 from fordlab._bfs import (
     _columns,
     _ExactCodec,
+    _flat,
     _IntCodec,
+    _linear,
     _make_codec,
+    _make_positive,
     _PairCodec,
+    _py_rows,
     _row_order,
     _Search,
     _widen,
+    _within,
 )
 from fordlab.exactnum import QuadValue
 from fordlab.moebius import MoebiusElement, bianchi_omega, from_ints, identity
@@ -328,6 +333,39 @@ def test_two_limb_levels_keep_traces_past_int64(monkeypatch):
     assert any(abs(t.a) >= 1 << 63 for t in result.traces)
 
 
+@pytest.mark.parametrize("form_max, kinds", [
+    ((1 << 32) - 1, ["two-limb"] * 2),
+    (1 << 32, ["python"] * 2),
+], ids=["below_2_32", "at_2_32"])
+def test_two_limb_guard_bounds_coefficient_sums(monkeypatch, form_max, kinds):
+    # levels 3 and 4 run on two limbs while K, the largest coefficient sum
+    # of a direction's matrix, is below 2**32, and on Python ints from there
+    gens = [from_ints(1, 1 << 20, 0, 1), from_ints(1, 0, 1 << 20, 1)]
+    bound = Fraction(1 << 200)
+    plain = enumerate_traces(gens, 4, bound)
+    seen = _spy_levels(monkeypatch)
+    search = _Search(_make_codec(gens, bound), gens, DEFAULT_STATE_CAP)
+    assert search.form_max == (1 << 20) + 1
+    search.form_max = form_max
+    search.run(4)
+    result = search.result()
+    assert seen == [(kind, _IntCodec) for kind in kinds]
+    assert result.traces == plain.traces
+    assert result.states_explored == plain.states_explored
+
+
+def test_bianchi_19_cross_check_has_one_two_limb_level(monkeypatch):
+    # the 15-generator cross-check of bianchi:19 at (4, 40): level 4 runs
+    # on two limbs, entries up to 141,023
+    from fordlab.constructions import CROSS_CHECK_LEN, build
+    seen = _spy_levels(monkeypatch)
+    result = enumerate_traces(build("bianchi", 19).combined_gens,
+                              CROSS_CHECK_LEN, 40)
+    assert CROSS_CHECK_LEN == 4
+    assert seen == [("two-limb", _PairCodec)]
+    assert result.states_explored == 607_782
+
+
 def _sl2z(word):
     g = identity()
     for kind, n in word:
@@ -507,34 +545,101 @@ def _values(col):
     return [h * (1 << 31) + x for h, x in zip(hi.tolist(), lo.tolist())]
 
 
+def _sgn(a):
+    return (a > 0) - (a < 0)
+
+
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.tuples(_LIMB_INTS, _LIMB_INTS, _FACTORS,
+@given(rows=st.lists(st.tuples(_LIMB_INTS, _LIMB_INTS,
                                st.sampled_from([-1, 0, 1]), _DIVISORS),
                      min_size=1, max_size=6),
        k=_FACTORS, q=_DIVISORS)
 def test_limb_columns_match_python_ints(rows, k, q):
-    xs, ys, ks, signs, qs = map(list, zip(*rows))
+    xs, ys, signs, qs = map(list, zip(*rows))
     x, y = _limbs(xs), _limbs(ys)
-    cases = [
-        (x + y, [a + b for a, b in zip(xs, ys)]),
-        (x + -y, [a - b for a, b in zip(xs, ys)]),
-        (-x, [-a for a in xs]),
-        (1 - x, [1 - a for a in xs]),
-        (x + k, [a + k for a in xs]),
-        (x * k, [a * k for a in xs]),
-        (k * x, [k * a for a in xs]),
-        (x * np.array(ks), [a * b for a, b in zip(xs, ks)]),
-        (x * np.array(signs), [a * b for a, b in zip(xs, signs)]),
-        (x * k // q, [a * k // q for a in xs]),
-        (x * q // q, xs),
-        (x // np.array(qs), [a // b for a, b in zip(xs, qs)]),
-        (abs(x), [abs(a) for a in xs]),
-    ]
-    for col, want in cases:
-        assert _values(col) == want
-    assert x.sign().tolist() == [(a > 0) - (a < 0) for a in xs]
+    # linear forms: x + y, x - y, -x, k*x, k*y, k*x - y, and an empty form
+    form = [(1, 1), (1, -1), (-1, 0), (k, 0), (0, k), (k, -1), (0, 0)]
+    for col, (a, b) in zip(_linear([x, y], form), form):
+        assert _values(col) == [a * u + b * v for u, v in zip(xs, ys)]
+    assert _values(_linear([x], [(k,)])[0] // q) == [a * k // q for a in xs]
+    assert _values(_linear([x], [(q,)])[0] // q) == xs
+    assert _values(x // np.array(qs)) == [a // b for a, b in zip(xs, qs)]
+    assert x.sign().tolist() == [_sgn(a) for a in xs]
     assert (x <= np.array(ys)).tolist() == [a <= b for a, b in zip(xs, ys)]
     assert (x <= abs(k)).tolist() == [a <= abs(k) for a in xs]
+    assert _within(x, abs(k)).tolist() == [abs(a) <= abs(k) for a in xs]
+    # x times the sign of the first nonzero of (s, y), in place
+    (col,) = _make_positive([x], [_limbs(signs), y])
+    assert _values(col) == [a * (s or _sgn(b)) for a, s, b in
+                            zip(xs, signs, ys)]
+
+
+# the integer codecs: plain, with the exact division by p = 7, and the
+# rings of integers for d = 1, 2, 3 and 19
+_NP_MUL_CODECS = [_IntCodec(Fraction(10)), _IntCodec(Fraction(10), 7)] + [
+    _PairCodec(d, Fraction(10)) for d in (1, 2, 3, 19)]
+_LIMB = 1 << 31
+
+
+@settings(max_examples=300, deadline=None)
+@given(codec=st.sampled_from(_NP_MUL_CODECS), data=st.data())
+def test_np_mul_on_two_limbs_matches_mul(codec, data):
+    """np_mul on two-limb columns equals mul on Python ints, canonical sign
+    included, for every row the two-limb guard admits."""
+    width = len(codec.ident)
+    scaled = width == 5          # (a, b, c, d) and a scale bit e
+    size = 4 if scaled else width
+    # entries below 2**27 keep every coefficient sum 2*G*growth < 2**32
+    bits = data.draw(st.integers(0, 27))
+    gen = tuple(data.draw(st.lists(st.integers(-(1 << bits), 1 << bits),
+                                   min_size=size, max_size=size)))
+    scale = st.integers(0, 1)
+    gen += (data.draw(scale),) * scaled
+    # gen's matrix as _Search derives it: x*gen on the unit rows x
+    form = list(zip(*(codec._product(unit, gen)
+                      for unit in np.eye(width, dtype=int).tolist())))
+    assert max(sum(map(abs, coefs)) for coefs in form) < 1 << 32
+    # the largest F with P = 2*F*G*growth < 2**91, as _Search._kind allows
+    top = ((1 << 91) - 1) // (2 * max(1, *map(abs, gen)) * codec.growth)
+    h = top // _LIMB
+    coord = (st.sampled_from([0, 1, -1, top, -top])
+             | st.integers(-top, top)
+             # lo limbs of 0 and 2**31 - 1
+             | st.builds(lambda hi, lo: hi * _LIMB + lo,
+                         st.integers(-h, h - 1),
+                         st.sampled_from([0, _LIMB - 1])))
+    rows = data.draw(st.lists(
+        st.tuples(*[coord] * size, *[scale] * scaled), min_size=1, max_size=6))
+    limbs = np.array([[half for v in row for half in (v >> 31, v % _LIMB)]
+                      for row in rows], dtype=np.int64)
+    out = np.stack(_flat(codec.np_mul(_columns(limbs, width), gen, form)),
+                   axis=1)
+    assert ((0 <= out[:, 1::2]) & (out[:, 1::2] < _LIMB)).all()
+    assert _py_rows(out, width) == [codec.mul(row, gen) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(codec=st.sampled_from(_NP_MUL_CODECS), wide=st.booleans(),
+       data=st.data())
+def test_record_on_numpy_rows_matches_python_rows(codec, wide, data):
+    """On numpy rows, trace_key runs on the first row of each distinct
+    tuple of trace columns only; every trace keeps the first row with its
+    key as the witness row, as on Python-int rows.  Traces t and -t share
+    a key, so row order, not trace-column order, must decide."""
+    width = len(codec.ident)
+    coord = st.integers(-12, 12)
+    row = st.tuples(*[coord] * width)
+    if width == 5:
+        # a scaled state has Atkin-Lehner shape [[p*a, b], [p*c, p*d]]
+        row = st.tuples(*[coord] * 4, st.booleans()).map(
+            lambda r: (r[:4] + (0,) if not r[4] else
+                       (7 * r[0], r[1], 7 * r[2], 7 * r[3], 1)))
+    rows = data.draw(st.lists(row, min_size=1, max_size=40))
+    searches = [_Search(codec, [], DEFAULT_STATE_CAP) for _ in range(2)]
+    array = np.array(rows, dtype=np.int64)
+    searches[0]._record(_widen(array) if wide else array, 3)
+    searches[1]._record(rows, 3)
+    assert searches[0].traces == searches[1].traces
 
 
 _TOP = (1 << 61) - 1      # the largest entry an int64 level may hold
