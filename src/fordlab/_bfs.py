@@ -43,7 +43,7 @@ from fordlab.tracesets import DEFAULT_STATE_CAP, EnumerationResult, StateExplosi
 
 _INT64_GUARD = 1 << 61
 # two-limb levels (see _Search._kind): bounds on the products' entries, on
-# generator entries and ring constants, and on coefficient sums
+# generator entries and on coefficient sums
 _WIDE_GUARD = 1 << 91
 _WIDE_FACTOR = 1 << 30
 _WIDE_FORM = 1 << 32
@@ -132,16 +132,29 @@ def _linear(cols, form):
 
 
 def _make_positive(cols, leads):
-    """Columns times the sign of the first nonzero lead column in each row,
-    in place: both halves of a limb column, then one carry."""
-    sgn = 0
-    for s in map(_sign, reversed(leads)):
-        sgn = np.where(s != 0, s, sgn)
+    """Columns times the sign of the first nonzero lead in each row, in place:
+    both halves of a limb column, then one carry.  ``leads(cols)`` yields the
+    lead columns of given columns in order; every row is signed by the first
+    lead, and only the rows where it is zero by the others."""
+    sgn = _sign(next(leads(cols)))
+    rest = np.flatnonzero(sgn == 0)
+    if len(rest):
+        sub, subset = 0, [_take(c, rest) for c in cols]
+        for s in map(_sign, reversed(list(leads(subset)))):
+            sub = np.where(s != 0, s, sub)
+        sgn[rest] = sub
     for half in _flat(cols):
         half *= sgn
     if isinstance(cols[0], _Limbs):
         return [_Limbs._carry(col.hi, col.lo) for col in cols]
     return cols
+
+
+def _take(col, idx):
+    """The rows idx of an int64 or a limb column."""
+    if isinstance(col, _Limbs):
+        return _Limbs(col.hi[idx], col.lo[idx])
+    return col[idx]
 
 
 def _columns(rows, width):
@@ -332,8 +345,6 @@ class _IntCodec:
     coefficients.
     """
 
-    growth = 1
-
     def __init__(self, bound: Fraction, p: int | None = None):
         self.p = p
         self.ident = (1, 0, 0, 1) if p is None else (1, 0, 0, 1, 0)
@@ -402,7 +413,7 @@ class _IntCodec:
                 e = _Limbs(e.hi, e.lo ^ 1) if isinstance(e, _Limbs) else e ^ 1
             prod.append(e)
         # the first nonzero entry of (c, a, b, d) becomes positive
-        leads = [prod[2], prod[0], prod[1], prod[3]]
+        leads = lambda c: iter((c[2], c[0], c[1], c[3]))
         return _make_positive(prod[:4], leads) + prod[4:]
 
     def np_in_bound(self, traces):
@@ -434,7 +445,6 @@ class _PairCodec:
         self.d = d
         # omega^2 = e1*omega + e0
         self.e1, self.e0 = (1, -(1 + d) // 4) if d % 4 == 3 else (0, -d)
-        self.growth = 2 + abs(self.e0) + abs(self.e1)
         self.ident = (1, 0, 0, 0, 0, 0, 1, 0)
         # the columns trace_key reads: a + d in ring coordinates
         self.trace_form = [(1, 0, 0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0, 0, 1)]
@@ -483,13 +493,13 @@ class _PairCodec:
 
     def np_mul(self, cols, gen, form):
         # the int64 or limb columns of the canonical rows x*gen, by form
-        prod = _linear(cols, form)
         # the first nonzero of (lead, v) over (c, a, b, d) becomes positive
-        leads = []
-        for u, v in (prod[4:6], prod[0:2], prod[2:4], prod[6:8]):
-            lead = _linear([u, v], [(2, 1)])[0] if self.d % 4 == 3 else u
-            leads += [lead, v]
-        return _make_positive(prod, leads)
+        return _make_positive(_linear(cols, form), self._leads)
+
+    def _leads(self, cols):
+        for u, v in (cols[4:6], cols[0:2], cols[2:4], cols[6:8]):
+            yield _linear([u, v], [(2, 1)])[0] if self.d % 4 == 3 else u
+            yield v
 
     def np_in_bound(self, traces):
         tu, tv = traces
@@ -520,8 +530,6 @@ class _ExactCodec:
     key.  Trace keys are (rational, radical, radicand).  With ``modulus``
     (the generators have an imaginary entry) the bound caps |t|^2 of every
     trace, as for Bianchi groups; otherwise it caps |t| of a real trace."""
-
-    growth = None    # no integer rows, so no numpy levels
 
     def __init__(self, bound: Fraction, modulus: bool):
         self.bound = bound
@@ -589,15 +597,17 @@ class _Search:
         self.dirs = [self.codec.entries(g) for g in dirs]
         self.width = len(codec.ident)    # coordinates per integer row
         self.cap = cap
-        if codec.growth is not None:
+        if not isinstance(codec, _ExactCodec):
             # x*g as linear forms in the row x: row i of g's matrix, read off
             # the codec's own product of the unit rows with g, is coordinate i
             units = np.eye(self.width, dtype=int).tolist()
             self.forms = [list(zip(*(codec._product(u, g) for u in units)))
                           for g in self.dirs]
             self.gen_max = max(map(abs, chain(*self.dirs)), default=1)
-            self.form_max = max((sum(map(abs, coefs)) for form in self.forms
-                                 for coefs in form), default=0)
+            # the distinct rows of |coefficients|, which bound the products
+            self.abs_rows = {tuple(map(abs, coefs)) for form in self.forms
+                             for coefs in form}
+            self.form_max = max(map(sum, self.abs_rows), default=0)
         self.levels = []      # per level: its states, sorted
         self.states = 1
         self.traces = {}      # trace key -> (level, state)
@@ -608,40 +618,48 @@ class _Search:
         Python-int levels, not before ``kind``, whose guard holds.
 
         Coordinate i of x*g is the form sum_k c_k x_k of row i of g's
-        matrix.  With F bounding the frontier's coordinates, G the
-        generators' entries, K the largest sum of |c_k| over a row of any
-        matrix and P = 2*F*G*growth, both integer codecs have
-        K <= 2*G*growth, so a partial sum of a form is at most K*F <= P and
-        every value computed from the rows at most 3*P (a lead 2u + v).
-        So int64 levels need P < 2**61.  Two-limb levels need K < 2**32 and
-        P < 2**91: as 0 <= lo < 2**31 and |hi| <= F / 2**31 + 1 for the
-        frontier, a sum of c_k * lo_k is below K * 2**31 < 2**63, a sum of
-        c_k * hi_k at most P / 2**31 + K, and |hi| < 2**60 + 2**33 after
-        the carry adds lo >> 31, inside ``_row_order``'s span bound.  The
-        carried pairs are canonical, later forms of them (2u + v, a + d)
-        have coefficient sums of at most 3, a sign multiplies both limbs by
-        -1, 0 or 1, and the Atkin-Lehner p divides a generator entry, so
-        p <= G < 2**30 and dividing carried limbs by p stays below 2**61.
+        matrix.  With F_k bounding the frontier's column k, let
+        T = max sum_k |c_k| * F_k over the rows of every direction's matrix.
+        Then every coordinate of a product, and every partial sum of its
+        form, is at most T, a lead 2u + v at most 3T and a trace a + d at
+        most 2T.  So int64 levels need T < 2**61.  Two-limb levels need
+        K < 2**32, K the largest sum of |c_k| over a row, and T < 2**91: as
+        0 <= lo < 2**31 and |hi_k| <= F_k / 2**31 + 1 for the frontier, a
+        sum of c_k * lo_k is below K * 2**31 < 2**63, a sum of c_k * hi_k at
+        most T / 2**31 + K, and |hi| < 2**60 + 2**33 after the carry adds
+        lo >> 31, inside ``_row_order``'s span bound.  The carried pairs are
+        canonical, later forms of them (2u + v, a + d) have coefficient sums
+        of at most 3, a sign multiplies both limbs by -1, 0 or 1, and the
+        Atkin-Lehner p divides a generator entry, so p <= G < 2**30 for G
+        the largest generator entry, and dividing carried limbs by p stays
+        below 2**61.
         """
         if kind is _PY:
             return _PY
-        if frontier.shape[1] == self.width:
-            f = int(np.abs(frontier).max())
-        else:
-            f = (int(np.abs(frontier[:, 0::2]).max()) + 1) << _LIMB_BITS
-        growth = self.codec.growth
-        bound = 2 * f * self.gen_max * growth
+        limbs = frontier.shape[1] != self.width
+        high = np.abs(frontier[:, 0::2] if limbs else frontier)
+
+        def per_column(top):
+            # T for frontier columns bounded by top (hi limbs on two limbs)
+            top = [(h + 1) << _LIMB_BITS if limbs else h for h in top]
+            return max((sum(c * f for c, f in zip(row, top))
+                        for row in self.abs_rows), default=0)
+        # T <= F*K for F the largest entry, so the column maxima are read
+        # only when F*K does not fit the current kind
+        bound = per_column([int(high.max())] * high.shape[1])
+        if bound >= (_INT64_GUARD if kind is _INT64 else _WIDE_GUARD):
+            bound = per_column(high.max(axis=0).tolist())
         if kind is _INT64 and bound < _INT64_GUARD:
             return _INT64
-        if (max(self.gen_max, growth) < _WIDE_FACTOR
-                and self.form_max < _WIDE_FORM and bound < _WIDE_GUARD):
+        if (self.gen_max < _WIDE_FACTOR and self.form_max < _WIDE_FORM
+                and bound < _WIDE_GUARD):
             return _WIDE
         return _PY
 
     def run(self, max_len: int) -> None:
         codec = self.codec
         frontier, last = [codec.ident], [-1]
-        if codec.growth is None:
+        if isinstance(codec, _ExactCodec):
             kind = _PY
         else:
             kind = _INT64

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from fordlab.exactnum import (
     MixedRadicand,
@@ -517,6 +517,7 @@ class PrismDomain:
         self.t1 = QuadValue(3)
         self.t2 = 3 * self.omega
         self.excluded = list(excluded)
+        self.anchor_ints = _omega_ints(self.anchor, d)
 
     @property
     def ambient(self) -> int:
@@ -574,12 +575,6 @@ def _ball_in_prism_domain(u: IsometricDisk, prism: PrismDomain) -> bool:
         if _separation_expr(u, other).sign() < 0:
             return False
     return True
-
-
-def sphere_separation_sq_margin(center_a: QuadValue, r2_a: Fraction,
-                                center_b: QuadValue, r2_b: Fraction) -> RadicalExpr:
-    gap = (center_a - center_b).abs2()
-    return RadicalExpr(gap - r2_a - r2_b, ((-2, r2_a * r2_b),))
 
 
 # -- separation verification (half-plane) ----------------------------------------------
@@ -691,35 +686,69 @@ def _interval_margin(da, dai, x, y):
 # -- separation verification (half-space) -----------------------------------------
 
 
-def _point_segment_dist_sq(p: QuadValue, a: QuadValue, b: QuadValue) -> Fraction:
-    u = b - a
-    w = p - a
-    t = ((w * u.conj() + u * w.conj()).a / 2) / u.abs2()
-    t = min(max(t, Fraction(0)), Fraction(1))
-    return (p - (a + u * t)).abs2()
+def _omega_ints(z: QuadValue, d: int) -> tuple[int, int, int]:
+    """Integers (u, v, n), n > 0, with z = (u + v*omega) / n for the omega
+    of ``bianchi_omega(d)``."""
+    p, q, n = z.ints()
+    if q and z.m != -d:
+        raise MixedRadicand(f"value {z} is not in Q(sqrt(-{d}))")
+    return (p - q, 2 * q, n) if d % 4 == 3 else (p, q, n)
+
+
+def _omega_value(u: int, v: int, n: int, d: int) -> QuadValue:
+    """(u + v*omega) / n as a QuadValue."""
+    return Fraction(v, n) * bianchi_omega(d) + Fraction(u, n)
+
+
+def _norm4(u: int, v: int, d: int) -> int:
+    """4 * |u + v*omega|^2."""
+    return (2 * u + v) ** 2 + d * v * v if d % 4 == 3 else 4 * (u * u + d * v * v)
+
+
+def _prism_dist_sq(prism: PrismDomain, u: int, v: int, n: int) -> Fraction:
+    """Squared distance from (u + v*omega) / n to the prism's base cell.
+
+    Over the denominator m = n * A of the point and the anchor, the cell is
+    0 <= x, y <= 3m in ring coordinates (x, y) from the anchor, and each
+    edge runs from a corner w0 along a vector e."""
+    au, av, a_den = prism.anchor_ints
+    m = n * a_den
+    x, y, s = u * a_den - au * n, v * a_den - av * n, 3 * m
+    if 0 <= x <= s and 0 <= y <= s:
+        return Fraction(0)
+    edges = ((0, 0, s, 0), (s, 0, 0, s), (s, s, -s, 0), (0, s, 0, -s))
+    return min(_segment_norm4(x - x0, y - y0, eu, ev, prism.d)
+               for x0, y0, eu, ev in edges) / (4 * m * m)
+
+
+def _segment_norm4(wu: int, wv: int, eu: int, ev: int, d: int) -> Fraction:
+    """The least 4|w - t*e|^2 over t in [0, 1], in ring coordinates: at t =
+    B(w, e) / B(e, e) clamped to [0, 1], B the bilinear form of |.|^2."""
+    qw, qe = _norm4(wu, wv, d), _norm4(eu, ev, d)
+    b2 = _norm4(wu + eu, wv + ev, d) - qw - qe      # 8 * B(w, e)
+    if b2 <= 0:
+        return Fraction(qw)
+    if b2 >= 2 * qe:
+        return Fraction(_norm4(wu - eu, wv - ev, d))
+    return Fraction(4 * qw * qe - b2 * b2, 4 * qe)
 
 
 def point_prism_dist_sq(z: QuadValue, prism: PrismDomain) -> Fraction:
-    s, t = prism.lattice_coords(z)
-    if 0 <= s <= 1 and 0 <= t <= 1:
-        return Fraction(0)
-    corners = [prism.anchor, prism.anchor + prism.t1,
-               prism.anchor + prism.t1 + prism.t2, prism.anchor + prism.t2]
-    best = None
-    for i in range(4):
-        d2 = _point_segment_dist_sq(z, corners[i], corners[(i + 1) % 4])
-        best = d2 if best is None else min(best, d2)
-    return best
+    return _prism_dist_sq(prism, *_omega_ints(z, prism.d))
 
 
 _WIDE_OFFSETS = [(j, k) for j in range(-2, 3) for k in range(-2, 3)]
 
 
-def _lattice_translates(prism: PrismDomain, z: QuadValue) -> list[QuadValue]:
+def _lattice_translates(prism: PrismDomain, z: QuadValue) -> list[tuple]:
     """The translates of z's canonical representative by j*t1 + k*t2,
-    |j|, |k| <= 2, in ``_WIDE_OFFSETS`` order."""
-    base0, _ = prism.canonicalize(z)
-    return [base0 + prism.t1 * j + prism.t2 * k for j, k in _WIDE_OFFSETS]
+    |j|, |k| <= 2, in ``_WIDE_OFFSETS`` order, as ``_omega_ints``."""
+    u, v, n = _omega_ints(z, prism.d)
+    au, av, a_den = prism.anchor_ints
+    cell = 3 * n * a_den
+    js, jt = (u * a_den - au * n) // cell, (v * a_den - av * n) // cell
+    return [(u + 3 * n * (j - js), v + 3 * n * (k - jt), n)
+            for j, k in _WIDE_OFFSETS]
 
 
 def sphere_translates_meeting_prism(prism: PrismDomain,
@@ -729,15 +758,33 @@ def sphere_translates_meeting_prism(prism: PrismDomain,
     centers = []
     seen = set()
     for base in bases:
-        for z in _lattice_translates(prism, qv(base)):
-            key = (z.a, z.b)
+        for u, v, n in _lattice_translates(prism, qv(base)):
+            g = gcd(u, v, n)
+            key = (u // g, v // g, n // g)
             if key in seen:
                 continue
             seen.add(key)
-            if point_prism_dist_sq(z, prism) <= radius_sq:
-                centers.append(z)
+            if _prism_dist_sq(prism, u, v, n) <= radius_sq:
+                centers.append(_omega_value(u, v, n, prism.d))
     centers.sort(key=lambda c: (c.a, c.b))
     return centers
+
+
+def _spheres_apart(sa, sb, d: int) -> int:
+    """The sign of |c_a - c_b| - r_a - r_b for spheres (u, v, n, r^2) with
+    centers (u + v*omega) / n.  With X = |c_a - c_b|^2 - r_a^2 - r_b^2 it is
+    -1 if X < 0, else the sign of X^2 - 4 r_a^2 r_b^2; both are decided on
+    integers, all terms times 4 (n_a n_b)^2 and the denominators of r^2."""
+    (ua, va, na, ra), (ub, vb, nb, rb) = sa, sb
+    scale = 4 * (na * nb) ** 2
+    a = ra.numerator * rb.denominator * scale
+    b = rb.numerator * ra.denominator * scale
+    x = (_norm4(ua * nb - ub * na, va * nb - vb * na, d)
+         * ra.denominator * rb.denominator - a - b)
+    if x < 0:
+        return -1
+    t = x * x - 4 * a * b
+    return (t > 0) - (t < 0)
 
 
 def _linear_sphere_margin(center_a, r2_a, center_b, r2_b):
@@ -788,7 +835,8 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
                                       witnesses={"error": "FixesInfinity"}))
             continue
         ddisk = isometric_disk(delta)
-        delta_disks.append((idx, ddisk))
+        sphere = (*_omega_ints(ddisk.center, d), ddisk.radius_sq)
+        delta_disks.append((idx, ddisk, sphere))
 
         ok, margin2 = ball_strictly_in_prism(ddisk, prism)
         checks.append(CheckRecord(f"delta_in_prism{label}",
@@ -796,16 +844,14 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
                                   margin=QuadValue(margin2),
                                   witnesses={"kind": "squared"}))
 
-        unit_centers = _lattice_translates(prism, QuadValue(0))
+        unit_ints = _lattice_translates(prism, QuadValue(0))
         if not x.is_zero():
-            unit_centers += _lattice_translates(prism, x)
+            unit_ints += _lattice_translates(prism, x)
+        clear = all(_spheres_apart(sphere, (*c, Fraction(1)), d) > 0
+                    for c in unit_ints)
+        unit_centers = [_omega_value(*c, d) for c in unit_ints]
         worst = None
-        clear = True
         for center in unit_centers:
-            s = sphere_separation_sq_margin(ddisk.center, ddisk.radius_sq,
-                                            center, Fraction(1)).sign()
-            if s <= 0:
-                clear = False
             lin = _linear_sphere_margin(ddisk.center, ddisk.radius_sq,
                                         center, Fraction(1))
             if lin is not None and (worst is None or lin.cmp_real(worst) < 0):
@@ -814,15 +860,11 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
                                   "pass" if clear else "fail", margin=worst))
 
         if scan is not None:
-            scan_ok = True
-            for n, dk, dki in scan.entries:
-                for disk in ((dk,) if dk.same_circle(dki) else (dk, dki)):
-                    for center in _lattice_translates(prism, disk.center):
-                        s = sphere_separation_sq_margin(
-                            ddisk.center, ddisk.radius_sq,
-                            center, disk.radius_sq).sign()
-                        if s <= 0:
-                            scan_ok = False
+            scan_ok = all(
+                _spheres_apart(sphere, (*c, disk.radius_sq), d) > 0
+                for n, dk, dki in scan.entries
+                for disk in ((dk,) if dk.same_circle(dki) else (dk, dki))
+                for c in _lattice_translates(prism, disk.center))
             checks.append(CheckRecord(f"delta_clears_power_spheres{label}",
                                       "pass" if scan_ok else "fail",
                                       witnesses={"scanned": len(scan.entries)}))
@@ -853,10 +895,9 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
 
     for ii in range(len(delta_disks)):
         for jj in range(ii + 1, len(delta_disks)):
-            i, di = delta_disks[ii]
-            j, dj = delta_disks[jj]
-            s = sphere_separation_sq_margin(di.center, di.radius_sq,
-                                            dj.center, dj.radius_sq).sign()
+            i, di, si = delta_disks[ii]
+            j, dj, sj = delta_disks[jj]
+            s = _spheres_apart(si, sj, d)
             lin = _linear_sphere_margin(di.center, di.radius_sq,
                                         dj.center, dj.radius_sq)
             checks.append(CheckRecord(f"delta_spheres_disjoint[{i},{j}]",

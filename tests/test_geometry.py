@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fordlab.geometry
-from fordlab.exactnum import QuadValue, sqrt_qv
+from fordlab.exactnum import QuadValue, RadicalExpr, qv, sqrt_qv
 from fordlab.geometry import (
     CheckRecord,
     Disjointness,
@@ -28,9 +30,14 @@ from fordlab.geometry import (
     separation_margin,
     sphere_translates_meeting_prism,
     verify_separation,
+    PrismDomain,
     _interval_margin,
+    _lattice_translates,
     _linear_sphere_margin,
+    _omega_ints,
+    _omega_value,
     _separation_expr,
+    _spheres_apart,
 )
 from fordlab.moebius import MoebiusElement, bianchi_omega, from_ints, in_pslz
 
@@ -445,3 +452,135 @@ def test_margins_fall_back_only_on_mixed_radicands(monkeypatch):
     for call in calls:
         with pytest.raises(RuntimeError):
             call()
+
+
+# -- integer sphere and prism predicates against their QuadValue formulas ------
+
+# d = 1 and 13 (1 mod 4), 2 and 6 (2 mod 4), 3, 7 and 19 (3 mod 4)
+_RINGS = [1, 2, 3, 6, 7, 13, 19]
+_HUGE = 1 << 70
+_NUMS = st.integers(-6, 6) | st.integers(-_HUGE, _HUGE)
+_DENS = st.integers(1, 6) | st.integers(1, _HUGE)
+_RATS = st.builds(Fraction, _NUMS, _DENS)
+_RADII_SQ = st.builds(Fraction, st.integers(1, 6) | st.integers(1, _HUGE), _DENS)
+
+
+def _radical_sign(ca, r2a, cb, r2b):
+    """sign(|c_a - c_b| - r_a - r_b) by the RadicalExpr formula
+    |c_a - c_b|^2 - r_a^2 - r_b^2 - 2*sqrt(r_a^2 r_b^2)."""
+    gap = (ca - cb).abs2()
+    return RadicalExpr(gap - r2a - r2b, ((-2, r2a * r2b),)).sign()
+
+
+def _int_sign(ca, r2a, cb, r2b, d):
+    return _spheres_apart((*_omega_ints(ca, d), r2a),
+                          (*_omega_ints(cb, d), r2b), d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from(_RINGS), a=_RATS, b=_RATS, shift_a=_RATS,
+       shift_b=_RATS, r2a=_RADII_SQ, r2b=_RADII_SQ)
+@example(d=3, a=Fraction(1, 2), b=Fraction(1, 2), shift_a=Fraction(0),
+         shift_b=Fraction(0), r2a=Fraction(1), r2b=Fraction(1, 4))
+def test_sphere_sign_on_integers_matches_radical_formula(d, a, b, shift_a,
+                                                         shift_b, r2a, r2b):
+    ca, cb = QuadValue(a, b, -d), QuadValue(a + shift_a, b + shift_b, -d)
+    assert _omega_value(*_omega_ints(ca, d), d) == ca
+    want = _radical_sign(ca, r2a, cb, r2b)
+    assert _int_sign(ca, r2a, cb, r2b, d) == want
+    assert _int_sign(cb, r2b, ca, r2a, d) == want
+    # equal centres always overlap
+    assert _int_sign(ca, r2a, ca, r2b, d) == _radical_sign(ca, r2a, ca, r2b) == -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from(_RINGS), a=_RATS, b=_RATS,
+       length=st.builds(Fraction, st.integers(1, _HUGE), _DENS),
+       part=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000)),
+       imaginary=st.booleans(), nudge=st.sampled_from([-1, 0, 1]))
+def test_sphere_sign_on_integers_at_tangency(d, a, b, length, part, imaginary,
+                                             nudge):
+    """Spheres with r_a + r_b = |c_a - c_b| are tangent (sign 0), and a
+    nudge of r_b^2 by a tiny fraction of it moves the sign the other way:
+    along a real shift by L with radii s*L and (1 - s)*L, or along an
+    imaginary shift by L*sqrt(-d) with radii s*L*sqrt(d) and (1 - s)*L*sqrt(d),
+    whose squares are not squares of rationals."""
+    ca = QuadValue(a, b, -d)
+    cb = ca + (QuadValue(0, length, -d) if imaginary else QuadValue(length))
+    scale = d if imaginary else 1
+    r2a = (part * length) ** 2 * scale
+    r2b = ((1 - part) * length) ** 2 * scale
+    r2b += nudge * r2b / (1 << 80)
+    want = _radical_sign(ca, r2a, cb, r2b)
+    assert want == -nudge
+    assert _int_sign(ca, r2a, cb, r2b, d) == want
+
+
+def _seed_point_prism_dist_sq(z, prism):
+    """The QuadValue form of point_prism_dist_sq: the nearest point of each
+    edge by a clamped projection."""
+    s, t = prism.lattice_coords(z)
+    if 0 <= s <= 1 and 0 <= t <= 1:
+        return Fraction(0)
+    corners = [prism.anchor, prism.anchor + prism.t1,
+               prism.anchor + prism.t1 + prism.t2, prism.anchor + prism.t2]
+    best = None
+    for i in range(4):
+        a, b = corners[i], corners[(i + 1) % 4]
+        u, w = b - a, z - a
+        t = ((w * u.conj() + u * w.conj()).a / 2) / u.abs2()
+        t = min(max(t, Fraction(0)), Fraction(1))
+        d2 = (z - (a + u * t)).abs2()
+        best = d2 if best is None else min(best, d2)
+    return best
+
+
+def _seed_translates(prism, z):
+    base0, _ = prism.canonicalize(qv(z))
+    return [base0 + prism.t1 * j + prism.t2 * k
+            for j in range(-2, 3) for k in range(-2, 3)]
+
+
+def _seed_translates_meeting_prism(prism, bases, radius_sq):
+    centers, seen = [], set()
+    for base in bases:
+        for z in _seed_translates(prism, base):
+            if (z.a, z.b) not in seen:
+                seen.add((z.a, z.b))
+                if _seed_point_prism_dist_sq(z, prism) <= radius_sq:
+                    centers.append(z)
+    centers.sort(key=lambda c: (c.a, c.b))
+    return centers
+
+
+# cell coordinates: walls and corners at 0 and 1, and points off the cell
+_CELL = (st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1),
+                          Fraction(2), Fraction(-1, 3), Fraction(4, 3)])
+         | st.fractions(min_value=-3, max_value=4, max_denominator=50))
+
+
+def _prism_for(d, anchor):
+    from fordlab.constructions import prism_anchor
+    return PrismDomain(d, prism_anchor(d) if anchor is None else anchor, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from(_RINGS),
+       anchor=st.none() | st.tuples(_RATS, _RATS), points=st.lists(
+           st.tuples(_CELL, _CELL), min_size=1, max_size=4),
+       radius_sq=st.sampled_from([Fraction(0), Fraction(1, 9), Fraction(1),
+                                  Fraction(7, 2)]))
+def test_prism_predicates_on_integers_match_quadvalue_forms(d, anchor, points,
+                                                            radius_sq):
+    if anchor is not None:
+        anchor = QuadValue(anchor[0], anchor[1], -d)
+    prism = _prism_for(d, anchor)
+    zs = [prism.anchor + prism.t1 * s + prism.t2 * t for s, t in points]
+    for z in zs:
+        assert point_prism_dist_sq(z, prism) == _seed_point_prism_dist_sq(z, prism)
+        assert [_omega_value(*c, d) for c in _lattice_translates(prism, z)] \
+            == _seed_translates(prism, z)
+    got = sphere_translates_meeting_prism(prism, zs, radius_sq)
+    want = _seed_translates_meeting_prism(prism, zs, radius_sq)
+    assert got == want
+    assert [(c.a, c.b) for c in got] == [(c.a, c.b) for c in want]

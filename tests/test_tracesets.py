@@ -303,7 +303,7 @@ def test_pair_kernel_matches_reference_past_int64(monkeypatch):
     seen = _spy_levels(monkeypatch)
     om = bianchi_omega(1)
     gens = [MoebiusElement(om, -1, 1, 0), from_ints(1, 0, 1 << 29, 1),
-            MoebiusElement(1, om, 0, 1)]
+            MoebiusElement(1, om * (1 << 10), 0, 1)]
     _assert_matches_reference(gens, enumerate_traces(gens, 4, 20), 4, 20)
     assert seen == [("two-limb", _PairCodec)] * 2
 
@@ -312,7 +312,7 @@ def test_pair_kernel_matches_reference_past_int64(monkeypatch):
     # level 3 runs on two limbs, level 4 passes the two-limb guard
     (from_ints(1, 1 << 29, 0, 1), ["two-limb", "python"]),
     # an entry of 2**31 may not multiply limbs: int64 straight to Python ints
-    (from_ints(1, 0, 1 << 31, 1), ["python"] * 3),
+    (from_ints(1 << 31, (1 << 31) - 1, 1, 1), ["python"] * 3),
 ], ids=["past_two_limbs", "entry_2_31"])
 def test_pair_kernel_matches_reference_past_two_limbs(monkeypatch, big, kinds):
     seen = _spy_levels(monkeypatch)
@@ -326,7 +326,7 @@ def test_two_limb_levels_keep_traces_past_int64(monkeypatch):
     # at a bound of 2**200 the bound test on two-limb rows must pass traces
     # above 2**63: levels 3 and 4 run on two limbs
     seen = _spy_levels(monkeypatch)
-    gens = [from_ints(1, 1 << 20, 0, 1), from_ints(1, 0, 1 << 20, 1)]
+    gens = [from_ints(1, 1 << 21, 0, 1), from_ints(1, 0, 1 << 21, 1)]
     result = enumerate_traces(gens, 5, 1 << 200)
     _assert_matches_reference(gens, result, 5, 1 << 200)
     assert seen == [("two-limb", _IntCodec)] * 2 + [("python", _IntCodec)]
@@ -340,12 +340,12 @@ def test_two_limb_levels_keep_traces_past_int64(monkeypatch):
 def test_two_limb_guard_bounds_coefficient_sums(monkeypatch, form_max, kinds):
     # levels 3 and 4 run on two limbs while K, the largest coefficient sum
     # of a direction's matrix, is below 2**32, and on Python ints from there
-    gens = [from_ints(1, 1 << 20, 0, 1), from_ints(1, 0, 1 << 20, 1)]
+    gens = [from_ints(1, 1 << 21, 0, 1), from_ints(1, 0, 1 << 21, 1)]
     bound = Fraction(1 << 200)
     plain = enumerate_traces(gens, 4, bound)
     seen = _spy_levels(monkeypatch)
     search = _Search(_make_codec(gens, bound), gens, DEFAULT_STATE_CAP)
-    assert search.form_max == (1 << 20) + 1
+    assert search.form_max == (1 << 21) + 1
     search.form_max = form_max
     search.run(4)
     result = search.result()
@@ -364,6 +364,48 @@ def test_bianchi_19_cross_check_has_one_two_limb_level(monkeypatch):
     assert CROSS_CHECK_LEN == 4
     assert seen == [("two-limb", _PairCodec)]
     assert result.states_explored == 607_782
+
+
+def test_bianchi_3_cross_check_stays_on_int64(monkeypatch):
+    # the per-column bound of bianchi:3's level 4 is about 1.7e18 < 2**61,
+    # where 2*F*G*growth would be about 1.4e19
+    from fordlab.constructions import CROSS_CHECK_LEN, build
+    seen = _spy_levels(monkeypatch)
+    result = enumerate_traces(build("bianchi", 3).combined_gens,
+                              CROSS_CHECK_LEN, 40)
+    assert seen == []
+    assert result.states_explored == 607_782
+
+
+@pytest.mark.parametrize("b, kind", [
+    ((1 << 60) - 1, "int64"),
+    (1 << 60, "two-limb"),
+], ids=["below_2_61", "at_2_61"])
+def test_int64_guard_is_the_per_column_bound(b, kind):
+    # x*T and x*T^-1 have coordinate b +- a, and no form of these
+    # directions has a larger sum of |c_k| * F_k than |a| + |b|, so
+    # T = 2**60 + b: int64 while T < 2**61, with exact products up to there
+    gens = [from_ints(1, 1, 0, 1)]
+    search = _Search(_make_codec(gens, Fraction(10)), gens, DEFAULT_STATE_CAP)
+    rows = [(1 << 60, b, 0, 1), (-(1 << 60), -b, 0, 1)]
+    frontier = np.array(rows, dtype=np.int64)
+    assert search._kind("int64", frontier) == kind
+    if kind == "two-limb":
+        frontier = _widen(frontier)
+    got, _, new = search._np_level(frontier, np.array([-1, -1], np.int16),
+                                   frontier[:0])
+    want = sorted({search.codec.mul(r, g) for r in rows for g in search.dirs})
+    assert _py_rows(got, 4) == want and new == len(want)
+
+
+def test_guard_runs_with_no_directions():
+    # the identity alone leaves no direction, so no form bounds a product
+    search = _Search(_make_codec([identity()], Fraction(10)), [identity()],
+                     DEFAULT_STATE_CAP)
+    assert search.dirs == [] and search._kind("int64", np.eye(2, 4, dtype=np.int64)) == "int64"
+    result = enumerate_traces([identity()], 3, 10)
+    assert (result.traces, result.states_explored) == ({}, 1)
+    _assert_matches_reference([identity()], result, 3, 10)
 
 
 def _sl2z(word):
@@ -477,8 +519,8 @@ _FINAL_LEVELS = [
     ([from_ints(1, -1, 1, 0), T5], 6, 4),
     ([from_ints(1, 1 << 20, 0, 1), from_ints(1, 0, 1 << 20, 1)], 4, 8),
     ([MoebiusElement(bianchi_omega(3), -1, 1, 0), from_ints(1, 3, 0, 1)], 4, 8),
-    ([MoebiusElement(bianchi_omega(1), -1, 1, 0),
-      from_ints(1, 0, 1 << 29, 1)], 3, 16),
+    ([MoebiusElement(bianchi_omega(1), -1, 1, 0), from_ints(1, 0, 1 << 29, 1),
+      MoebiusElement(1, bianchi_omega(1) * (1 << 29), 0, 1)], 3, 16),
 ]
 _FINAL_IDS = ["sl2z-int64", "sl2z-two-limb", "bianchi-int64",
               "bianchi-two-limb"]
@@ -569,7 +611,7 @@ def test_limb_columns_match_python_ints(rows, k, q):
     assert (x <= abs(k)).tolist() == [a <= abs(k) for a in xs]
     assert _within(x, abs(k)).tolist() == [abs(a) <= abs(k) for a in xs]
     # x times the sign of the first nonzero of (s, y), in place
-    (col,) = _make_positive([x], [_limbs(signs), y])
+    col, _, _ = _make_positive([x, _limbs(signs), y], lambda c: iter(c[1:]))
     assert _values(col) == [a * (s or _sgn(b)) for a, s, b in
                             zip(xs, signs, ys)]
 
@@ -589,7 +631,7 @@ def test_np_mul_on_two_limbs_matches_mul(codec, data):
     width = len(codec.ident)
     scaled = width == 5          # (a, b, c, d) and a scale bit e
     size = 4 if scaled else width
-    # entries below 2**27 keep every coefficient sum 2*G*growth < 2**32
+    # entries below 2**27 keep every coefficient sum below 2**32
     bits = data.draw(st.integers(0, 27))
     gen = tuple(data.draw(st.lists(st.integers(-(1 << bits), 1 << bits),
                                    min_size=size, max_size=size)))
@@ -598,9 +640,11 @@ def test_np_mul_on_two_limbs_matches_mul(codec, data):
     # gen's matrix as _Search derives it: x*gen on the unit rows x
     form = list(zip(*(codec._product(unit, gen)
                       for unit in np.eye(width, dtype=int).tolist())))
-    assert max(sum(map(abs, coefs)) for coefs in form) < 1 << 32
-    # the largest F with P = 2*F*G*growth < 2**91, as _Search._kind allows
-    top = ((1 << 91) - 1) // (2 * max(1, *map(abs, gen)) * codec.growth)
+    form_max = max(sum(map(abs, coefs)) for coefs in form)
+    assert form_max < 1 << 32
+    # the largest F with T = F*K < 2**91 for coordinates up to F, K the
+    # largest coefficient sum, as _Search._kind allows
+    top = ((1 << 91) - 1) // max(1, form_max)
     h = top // _LIMB
     coord = (st.sampled_from([0, 1, -1, top, -top])
              | st.integers(-top, top)
