@@ -1,13 +1,13 @@
 """Breadth-first word enumeration over matrix generators.
 
 One level-synchronous driver walks the Cayley graph of a generator set, one
-word length (level) at a time, and keeps each level as its states sorted
-lexicographically.  The graph is undirected, so every neighbour of a level-L
-state lies in level L-1, L or L+1: a new level is deduplicated against the
-two levels before it and no set of all visited states is kept (frontier
-search; Korf et al., "Frontier Search", J. ACM 52(5), 2005).  Earlier
-levels stay as sorted rows only, so that witness words can be traced back
-by binary search.
+word length (level) at a time.  The graph is undirected, so every neighbour
+of a level-L state lies in level L-1, L or L+1: a new level is deduplicated
+against the two levels before it and no set of all visited states is kept
+(frontier search; Korf et al., "Frontier Search", J. ACM 52(5), 2005).  Of
+earlier levels only a parent link per state is kept, (direction, index of
+the parent state in the level before), and witness words are read back
+along these links.
 
 A ring codec encodes the states: ``_IntCodec`` rational-integer matrices,
 or, given a radicand p, the normalizer generators (integer matrices in
@@ -23,14 +23,15 @@ numpy rows, which hold each coordinate x as the int64 pair
 x*g is linear in the row x, with one integer matrix per direction g read
 off the codec's own product.  Numpy levels apply it as int64 sums: on two
 limbs the same sums over the hi and over the lo limbs, then one carry per
-coordinate.  Two-limb rows sort in the numeric order of their coordinates,
-so a level's row order, which picks each trace's witness, is the same on
-every kind of level.  The last numpy level is counted by row hash.
+coordinate.  A numpy level is deduplicated by row hash and kept in
+generation order; Python-int and exact levels are sorted lists.  Neither
+order matters: each state's link names the first direction that reaches it
+from the level before, and each trace is witnessed by the least state, in
+numeric row order, that has it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
 from fractions import Fraction
 from math import isqrt
@@ -174,8 +175,8 @@ def _flat(cols):
 
 
 def _widen(rows):
-    """int64 rows as two-limb rows."""
-    out = np.empty((len(rows), 2 * rows.shape[1]), dtype=np.int64)
+    """int64 rows as column-major two-limb rows."""
+    out = np.empty((len(rows), 2 * rows.shape[1]), dtype=np.int64, order="F")
     out[:, 0::2] = rows >> _LIMB_BITS
     out[:, 1::2] = rows & _LIMB_MASK
     return out
@@ -187,77 +188,6 @@ def _py_rows(rows, width):
         rows = ((rows[:, 0::2].astype(object) << _LIMB_BITS)
                 + rows[:, 1::2].astype(object))
     return list(map(tuple, rows.tolist()))
-
-
-def _row_order(rows):
-    """The stable permutation that sorts int64 rows lexicographically, equal
-    to ``np.lexsort(rows.T[::-1])`` element for element, ties included.
-
-    Each column, offset by its minimum, is a field as wide as the bit length
-    of its span (max - min), and a row reads as one unsigned integer with
-    its first column most significant.  With ib = ceil(log2 n) bits for a
-    position, one in-place ``np.sort`` per (64 - ib)-bit chunk of that
-    integer, least significant chunk first, sorts ``chunk << ib | i`` over
-    the positions i of the order so far.  The keys are distinct, so each
-    pass orders by its chunk and keeps the earlier order among equal
-    chunks: the passes together are a stable sort by the whole integer.
-    Two-limb rows sort by (hi, lo) per coordinate, which is their numeric
-    order, since 0 <= lo < 2**31.
-
-    Every span fits uint64, and ``col - col.min()`` cannot overflow int64:
-    the ``_Search._kind`` guards keep the entries of an int64 level below
-    2**61 in absolute value, and the coordinates y of a two-limb level
-    below 2**91, so |hi| <= |y| / 2**31 + 1 < 2**60 + 1 (0 <= lo < 2**31).
-    The two earlier levels that a new level is sorted with passed the same
-    guards, and a widened int64 level has |hi| <= 2**30.
-    """
-    n = len(rows)
-    ib = (n - 1).bit_length()
-    step = 64 - ib
-    fields, total = [], 0       # (column, its minimum, bit offset, width)
-    for col in rows.T[::-1]:
-        low = col.min()
-        width = (int(col.max()) - int(low)).bit_length()
-        if width:
-            fields.append((col, low, total, width))
-            total += width
-    order = np.arange(n)
-    pos = np.arange(n, dtype=np.uint64)
-    mask = np.uint64((1 << ib) - 1)
-    for start in range(0, total, step):
-        key = np.zeros(n, dtype=np.uint64)
-        for col, low, at, width in fields:
-            first = max(at, start)
-            if first < min(at + width, start + step):
-                v = np.subtract(col, low).view(np.uint64)
-                v >>= np.uint64(first - at)
-                # bits above the chunk fall off in the shift by ib below
-                v <<= np.uint64(first - start)
-                key |= v
-        if start:
-            key = key[order]
-        key <<= np.uint64(ib)
-        key |= pos
-        key.sort()
-        key &= mask
-        order = order[key.view(np.int64)] if start else key.view(np.int64)
-    return order
-
-
-def _first_new(rows, new):
-    """The indices of the new rows among int64 rows, once each, in numeric
-    row order: the first row of each run of equal rows in the stable row
-    order, kept only if ``new`` (a mask over the rows) marks it."""
-    if not len(rows):
-        return np.arange(0)
-    order = _row_order(rows)
-    differs = np.zeros(len(rows) - 1, dtype=bool)
-    for col in rows.T:
-        col = col[order]
-        differs |= col[1:] != col[:-1]
-    keep = new[order]
-    keep[1:] &= differs
-    return order[keep]
 
 
 _MASK64 = (1 << 64) - 1
@@ -291,45 +221,51 @@ def _row_hash(rows):
     return _mix64(h)
 
 
-def _count_distinct(rows, hashes) -> int:
-    """The number of distinct rows among C-contiguous int64 rows, given
-    their ``_row_hash`` values.
+def _first_rows(rows, hashes):
+    """A mask over int64 rows, given their ``_row_hash`` values, that marks
+    the first occurrence by position of each distinct row.  The hashes are
+    overwritten.
 
     One in-place ``np.sort`` of the hashes, with the row positions packed
-    into their low bits as in ``_row_order``, puts rows that share the top
-    bits of their hash next to each other.  Neighbours in such a run are
-    compared exactly, each row read as one opaque byte string.  A run whose
-    rows are all equal counts once; a run that holds two different rows is
-    counted exactly with a Python set over that run only.
+    into their low bits, puts rows that share the top bits of their hash
+    next to each other, each run in position order.  Neighbours in such a
+    run are compared exactly.  In a run whose rows are all equal only the
+    first is marked; a run that holds two different rows is resolved with a
+    Python set over that run only.
     """
     n = len(rows)
     ib = (n - 1).bit_length()
     mask = np.uint64((1 << ib) - 1)
-    key = hashes & ~mask
+    key = hashes        # sorted in place
+    key &= ~mask
     key |= np.arange(n, dtype=np.uint64)
     key.sort()
-    order = (key & mask).view(np.int64)
-    key >>= np.uint64(ib)
-    eq = key[1:] == key[:-1]
-    del key
-    pairs = np.flatnonzero(eq)
-    distinct = n - len(pairs)
-    if not len(pairs):
-        return distinct
-    # each row as one void item; the rows of every run of two or more,
-    # gathered once in sorted order: a run's rows are neighbours there
-    items = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-    members = np.flatnonzero(np.append(eq, False) | np.insert(eq, 0, False))
-    gathered = items[order[members]]
-    differs = gathered[1:] != gathered[:-1]
-    del gathered
-    bad = members[np.flatnonzero(differs & eq[members[:-1]])]
-    if len(bad):
-        starts = np.append(np.flatnonzero(np.insert(~eq, 0, True)), n)
-        for r in np.unique(np.searchsorted(starts, bad, side="right") - 1):
-            run = rows[order[starts[r]:starts[r + 1]]]
-            distinct += len(set(map(tuple, run.tolist()))) - 1
-    return distinct
+    # neighbours share their top bits when their keys differ in the low ones
+    eq = np.bitwise_xor(key[1:], key[:-1]) <= mask
+    key &= mask
+    order = key.view(np.int64)
+    first = np.insert(~eq, 0, True)     # in hash order: the run starts
+    if eq.any():
+        # the rows of every run of two or more, compared column by column
+        # in hash order: a run's rows are neighbours there
+        members = np.flatnonzero(np.append(eq, False) | ~first)
+        pos = order[members]
+        differs = np.zeros(len(members) - 1, dtype=bool)
+        for col in rows.T:
+            col = col[pos]
+            differs |= col[1:] != col[:-1]
+        bad = members[np.flatnonzero(differs & eq[members[:-1]])]
+        if len(bad):
+            starts = np.append(np.flatnonzero(first), n)
+            for r in np.unique(np.searchsorted(starts, bad, side="right") - 1):
+                seen = set()
+                run = rows[order[starts[r]:starts[r + 1]]]
+                for at, row in enumerate(map(tuple, run.tolist()), starts[r]):
+                    first[at] = row not in seen
+                    seen.add(row)
+    out = np.empty(n, dtype=bool)
+    out[order] = first
+    return out
 
 
 # -- integer matrices, optionally scaled by 1/sqrt(p) ----------------------
@@ -577,17 +513,6 @@ def _make_codec(gens, bound: Fraction):
 _INT64, _WIDE, _PY = "int64", "two-limb", "python"
 
 
-def _contains(rows, state) -> bool:
-    """Binary search for a state in a level's lexicographically sorted rows:
-    Python-int states, int64 rows or two-limb rows."""
-    key = None
-    if isinstance(rows, np.ndarray):
-        width = len(state)
-        key = lambda row: _py_rows(row[None], width)[0]
-    i = bisect_left(rows, state, key=key)
-    return i < len(rows) and (key(rows[i]) if key else rows[i]) == state
-
-
 class _Search:
     """Level-synchronous frontier search over the words in a generator set."""
 
@@ -608,9 +533,10 @@ class _Search:
             self.abs_rows = {tuple(map(abs, coefs)) for form in self.forms
                              for coefs in form}
             self.form_max = max(map(sum, self.abs_rows), default=0)
-        self.levels = []      # per level: its states, sorted
+        # per level: the (direction, parent index) links of its states
+        self.links = [None]
         self.states = 1
-        self.traces = {}      # trace key -> (level, state)
+        self.traces = {}      # trace key -> (level, index of its state)
         self.max_level = 0
 
     def _kind(self, kind, frontier):
@@ -627,12 +553,11 @@ class _Search:
         0 <= lo < 2**31 and |hi_k| <= F_k / 2**31 + 1 for the frontier, a
         sum of c_k * lo_k is below K * 2**31 < 2**63, a sum of c_k * hi_k at
         most T / 2**31 + K, and |hi| < 2**60 + 2**33 after the carry adds
-        lo >> 31, inside ``_row_order``'s span bound.  The carried pairs are
-        canonical, later forms of them (2u + v, a + d) have coefficient sums
-        of at most 3, a sign multiplies both limbs by -1, 0 or 1, and the
-        Atkin-Lehner p divides a generator entry, so p <= G < 2**30 for G
-        the largest generator entry, and dividing carried limbs by p stays
-        below 2**61.
+        lo >> 31, all inside int64.  The carried pairs are canonical, later
+        forms of them (2u + v, a + d) have coefficient sums of at most 3, a
+        sign multiplies both limbs by -1, 0 or 1, and the Atkin-Lehner p
+        divides a generator entry, so p <= G < 2**30 for G the largest
+        generator entry, and dividing carried limbs by p stays below 2**61.
         """
         if kind is _PY:
             return _PY
@@ -666,7 +591,6 @@ class _Search:
             frontier = np.array(frontier, dtype=np.int64)
             last = np.array(last, dtype=np.int16)
         older = frontier[:0]    # level L-2, in the form of the frontier
-        self.levels.append(frontier)
         for level in range(1, max_len + 1):
             step = self._kind(kind, frontier)
             if step is _WIDE and kind is _INT64:
@@ -677,18 +601,17 @@ class _Search:
                 last = last.tolist()
             kind = step
             if kind is _PY:
-                rows, last = self._py_level(frontier, last, older)
+                rows, links = self._py_level(frontier, last, older)
                 new = len(rows)
             else:
-                rows, last, new = self._np_level(frontier, last, older,
-                                                 level == max_len)
+                rows, links, new = self._np_level(frontier, last, older,
+                                                  level == max_len)
             older = frontier
             if not new:
                 break
-            if level < max_len:
-                self.levels.append(rows)
+            self.links.append(links)
             self._record(rows, level)
-            frontier = rows
+            frontier, last = rows, links[0]
             self.states += new
             self.max_level = level
             if self.states > self.cap:
@@ -698,53 +621,31 @@ class _Search:
     def _candidates(self, frontier, last):
         # per direction j, the columns of the canonical products x*dirs[j]
         # over the frontier rows x not reached by the inverse step; each
-        # masked copy has contiguous columns and dies with np_mul
+        # masked copy has contiguous columns and dies with np_mul; the
+        # transpose of a column-major level is a view, not a copy
         block = np.ascontiguousarray(frontier.T)
         for j, (gen, form) in enumerate(zip(self.dirs, self.forms)):
             keep = last != self.inv_idx[j]
             if keep.any():
-                yield j, self.codec.np_mul(
+                yield j, keep, self.codec.np_mul(
                     _columns(np.compress(keep, block, axis=1).T, self.width),
                     gen, form)
 
     def _np_level(self, frontier, last, older, final=False):
-        """The level after ``frontier`` on numpy rows, as (rows, directions,
-        number of new states): its new rows in numeric row order, each with
-        the direction that reached it.  The ``final`` level is counted, not
-        sorted: see ``_np_final``.
-        """
-        if final:
-            return self._np_final(frontier, last, older)
-        parts, part_dirs = [], []
-        for j, cols in self._candidates(frontier, last):
-            parts.append(np.stack(_flat(cols), axis=1))
-            part_dirs.append(np.full(len(parts[-1]), j, dtype=np.int16))
-        if not parts:
-            return frontier[:0], last[:0], 0
-        n_old = len(older) + len(frontier)
-        rows = np.concatenate([older, frontier, *parts])
-        dirs = np.concatenate(part_dirs)
-        del parts, part_dirs, cols    # free the candidates early
-        # numeric row order, stable: within equal rows the two old levels
-        # come first and the candidates follow in generation order, so the
-        # first of each run of equal rows is kept only if it is new
-        kept = _first_new(rows, np.arange(len(rows)) >= n_old)
-        return rows[kept], dirs[kept - n_old], len(kept)
+        """The level after ``frontier`` on numpy rows, as (rows, links,
+        number of new states): its new rows in generation order, and per
+        row the direction that reached it first and the index of its parent
+        in the frontier.  The ``final`` level is never a frontier, so only
+        its in-bound rows, which may witness a trace, are returned.
 
-    def _np_final(self, frontier, last, older):
-        """The last level: its number of new states, and its in-bound new
-        rows in numeric row order, with no directions.  It is never a
-        frontier, and no witness is looked up in it, so it is not sorted.
-
-        The rows of the two old levels and the candidates are copied once
-        into one array, with their hashes and in-bound flags; each
-        direction's candidates go in as one column-major block of the
-        columns np_mul returns, and are never concatenated as rows.
-        ``_count_distinct`` counts the distinct rows.  The two old levels
-        are disjoint and deduplicated, so the rest are new.  Equal rows
-        have equal traces, so ``_first_new`` over the in-bound rows alone
-        gives exactly the in-bound part of the level that ``_np_level``
-        would make, in the same order.
+        Numpy levels are column-major, so that each column is contiguous.
+        The rows of the two old levels and then each direction's candidates
+        are copied once into one array, with their hashes.  ``_first_rows``
+        marks the first occurrence of each row.  The two old levels come
+        first and are disjoint and deduplicated, so the marked candidates
+        are the new states, each at the least direction j that reaches it;
+        its parent is the frontier row x with x*dirs[j] the row, unique
+        since rows are canonical.
         """
         n_old = len(older) + len(frontier)
         # every frontier row but the identity was reached by one direction
@@ -752,81 +653,112 @@ class _Search:
         n = (n_old + len(self.dirs) * len(frontier)
              - int(np.count_nonzero(last >= 0)))
         if n == n_old:
-            return frontier[:0], None, 0
-        rows = np.empty((n, frontier.shape[1]), dtype=np.int64)
+            return frontier[:0], (last[:0], np.arange(0)), 0
+        rows = np.empty((n, frontier.shape[1]), dtype=np.int64, order="F")
         hashes = np.empty(n, dtype=np.uint64)
-        in_bound = np.empty(n, dtype=bool)
-        parts = [(old, _columns(old, self.width)) for old in (older, frontier)]
-        candidates = ((np.stack(_flat(cols)).T, cols)
-                      for _, cols in self._candidates(frontier, last))
+        in_bound = np.empty(n - n_old, dtype=bool) if final else None
+        # per direction: its frontier rows, as a mask, and its span
+        sources = []
         at = 0
-        for part, cols in chain(parts, candidates):
+        for part in (older, frontier):
             end = at + len(part)
             rows[at:end] = part
-            hashes[at:end] = _row_hash(part)
-            in_bound[at:end] = self.codec.np_in_bound(
-                _linear(cols, self.codec.trace_form))
+            hashes[at:end] = _row_hash(rows[at:end])
             at = end
+        for j, src, cols in self._candidates(frontier, last):
+            flat = _flat(cols)
+            end = at + len(flat[0])
+            for k, col in enumerate(flat):
+                rows[at:end, k] = col
+            hashes[at:end] = _row_hash(rows[at:end])
+            if final:
+                in_bound[at - n_old:end - n_old] = self.codec.np_in_bound(
+                    _linear(cols, self.codec.trace_form))
+            sources.append((j, src, at, end))
+            at = end
+            del cols, flat      # before the next direction's products
         assert at == n
-        new = _count_distinct(rows, hashes) - n_old
-        idx = np.flatnonzero(in_bound)
-        inside = rows[idx]
-        del rows, hashes
-        return inside[_first_new(inside, idx >= n_old)], None, new
+        keep = _first_rows(rows, hashes)
+        del hashes
+        keep[:n_old] = False
+        new = int(np.count_nonzero(keep))
+        if final:
+            keep[n_old:] &= in_bound
+        out = np.compress(keep, rows.T, axis=1).T
+        del rows
+        parents = [np.flatnonzero(src)[keep[at:end]]
+                   for _, src, at, end in sources]
+        dirs = np.repeat(np.array([j for j, *_ in sources], dtype=np.int16),
+                         list(map(len, parents)))
+        return out, (dirs, np.concatenate(parents)), new
 
     def _py_level(self, frontier, last, older):
-        # the rule of _np_level on lists: a stable sort of the two old
-        # levels and the candidates, which keeps the first of each run of
-        # equal rows only if it is new.  Equal (key, element) states of the
-        # exact codec have equal keys and equal elements, so elements are
-        # never ordered.
+        # the rule of _np_level on lists, as (rows, links): a stable sort of
+        # the two old levels and the candidates keeps the first of each run
+        # of equal rows only if it is new, so the level comes out sorted.
+        # Equal (key, element) states of the exact codec have equal keys
+        # and equal elements, so elements are never ordered.
         mul, inv_idx = self.codec.mul, self.inv_idx
-        rows, dirs = older + frontier, []
+        rows, links = older + frontier, []
         n_old = len(rows)
         for j, gen in enumerate(self.dirs):
-            for state, ld in zip(frontier, last):
+            for x, (state, ld) in enumerate(zip(frontier, last)):
                 if ld != inv_idx[j]:
                     rows.append(mul(state, gen))
-                    dirs.append(j)
+                    links.append((j, x))
         order = sorted(range(len(rows)), key=rows.__getitem__)
         kept = [i for at, i in enumerate(order) if i >= n_old
                 and (at == 0 or rows[i] != rows[order[at - 1]])]
-        return [rows[i] for i in kept], [dirs[i - n_old] for i in kept]
+        links = [links[i - n_old] for i in kept]
+        return ([rows[i] for i in kept],
+                ([j for j, _ in links], [x for _, x in links]))
 
     def _record(self, rows, level):
+        """Record every trace key first met in a level, with the index of
+        its witness there: the least row, in numeric order, that has it."""
         if isinstance(rows, np.ndarray):
-            # trace_key reads only the trace columns, so the first in-bound
-            # row of each distinct tuple of them is the first row of its key
+            # trace_key reads only the trace columns, so the least in-bound
+            # row of each distinct tuple of them is the least row of its key
             traces = _linear(_columns(rows, self.width), self.codec.trace_form)
             idx = np.flatnonzero(self.codec.np_in_bound(traces))
-            keys = np.stack([col[idx] for col in _flat(traces)], axis=1)
-            idx = idx[np.sort(_first_new(keys, np.ones(len(idx), bool)))]
-            rows = _py_rows(rows[idx], self.width)
-        for row in rows:
+            # one group per distinct tuple, numbered one column at a time
+            group = np.zeros(len(idx), dtype=np.int64)
+            for col in _flat(traces):
+                values, at = np.unique(col[idx], return_inverse=True)
+                ids, group = np.unique(group * len(values) + at,
+                                       return_inverse=True)
+            # the least row of each group, one column at a time; level rows
+            # are distinct, so one row per group is left
+            for col in rows.T:
+                if len(idx) == len(ids):
+                    break
+                least = np.full(len(ids), np.iinfo(np.int64).max)
+                np.minimum.at(least, group, col[idx])
+                keep = col[idx] == least[group]
+                idx, group = idx[keep], group[keep]
+            rows = sorted(zip(_py_rows(rows[idx], self.width), idx.tolist()))
+        else:
+            rows = zip(rows, range(len(rows)))
+        for row, i in rows:
             key = self.codec.trace_key(row)
             if key is not None and key not in self.traces:
-                self.traces[key] = (level, row)
+                self.traces[key] = (level, i)
 
-    def witness(self, state, level) -> str:
-        """The word to a state: at each step back, the first direction whose
-        inverse step lands in the level before."""
+    def witness(self, level, i) -> str:
+        """The word to state i of a level, read back along the links: at
+        each step, the first direction that reaches the state from the
+        level before."""
         word = []
-        cur = state
         for lvl in range(level, 0, -1):
-            for j, label in enumerate(self.labels):
-                parent = self.codec.mul(cur, self.dirs[self.inv_idx[j]])
-                if _contains(self.levels[lvl - 1], parent):
-                    word.append(label)
-                    cur = parent
-                    break
-            else:
-                raise AssertionError("witness backtrack failed")
+            dirs, parents = self.links[lvl]
+            word.append(self.labels[dirs[i]])
+            i = parents[i]
         return "*".join(reversed(word))
 
     def result(self) -> EnumerationResult:
         out = {}
-        for key, (level, state) in sorted(self.traces.items()):
-            out[self.codec.to_qv(key)] = self.witness(state, level)
+        for key, (level, i) in sorted(self.traces.items()):
+            out[self.codec.to_qv(key)] = self.witness(level, i)
         return EnumerationResult(out, self.states, self.max_level)
 
 

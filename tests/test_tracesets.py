@@ -9,6 +9,7 @@ from fordlab import _bfs
 from fordlab._bfs import (
     _columns,
     _ExactCodec,
+    _first_rows,
     _flat,
     _IntCodec,
     _linear,
@@ -16,7 +17,7 @@ from fordlab._bfs import (
     _make_positive,
     _PairCodec,
     _py_rows,
-    _row_order,
+    _row_hash,
     _Search,
     _widen,
     _within,
@@ -395,7 +396,8 @@ def test_int64_guard_is_the_per_column_bound(b, kind):
     got, _, new = search._np_level(frontier, np.array([-1, -1], np.int16),
                                    frontier[:0])
     want = sorted({search.codec.mul(r, g) for r in rows for g in search.dirs})
-    assert _py_rows(got, 4) == want and new == len(want)
+    # level rows are in generation order
+    assert sorted(_py_rows(got, 4)) == want and new == len(want)
 
 
 def test_guard_runs_with_no_directions():
@@ -472,23 +474,36 @@ def test_pair_kernel_matches_reference_on_random_bianchi(d, words, max_len,
 def _assert_collisions_change_nothing(gens, max_len, bound, low_bits,
                                       same_words=True):
     """A run whose row hash keeps only the low bits of the first column (0
-    bits: every row collides) equals the plain run and the reference.
-    Returns the row widths that the degenerate hash saw."""
+    bits: every row collides) equals the plain run and the reference, and
+    every numpy level with candidates went through that hash.  Returns the
+    row widths that the degenerate hash saw."""
     plain = enumerate_traces(gens, max_len, bound)
-    widths = set()
+    widths, levels = [], []
+    np_level = _Search._np_level
 
     def degenerate(rows):
-        widths.add(rows.shape[1])
+        widths.append(rows.shape[1])
         return rows[:, 0].view(np.uint64) & np.uint64((1 << low_bits) - 1)
+
+    def spy(self, frontier, last, *args):
+        hashed = len(widths)
+        out = np_level(self, frontier, last, *args)
+        # every frontier row but the identity skips one direction
+        skipped = np.count_nonzero(last >= 0)
+        candidates = len(self.dirs) * len(frontier) > skipped
+        levels.append((candidates, len(widths) > hashed))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_bfs, "_row_hash", degenerate)
+        mp.setattr(_Search, "_np_level", spy)
         forced = enumerate_traces(gens, max_len, bound)
+    assert all(candidates == hashed for candidates, hashed in levels)
     assert forced.traces == plain.traces
     assert forced.states_explored == plain.states_explored
     assert forced.max_len_reached == plain.max_len_reached
     _assert_matches_reference(gens, forced, max_len, bound, same_words)
-    return widths
+    return set(widths)
 
 
 @settings(max_examples=30, deadline=None)
@@ -666,10 +681,11 @@ def test_np_mul_on_two_limbs_matches_mul(codec, data):
 @given(codec=st.sampled_from(_NP_MUL_CODECS), wide=st.booleans(),
        data=st.data())
 def test_record_on_numpy_rows_matches_python_rows(codec, wide, data):
-    """On numpy rows, trace_key runs on the first row of each distinct
-    tuple of trace columns only; every trace keeps the first row with its
-    key as the witness row, as on Python-int rows.  Traces t and -t share
-    a key, so row order, not trace-column order, must decide."""
+    """On numpy rows, in any order, trace_key runs on the least row of each
+    distinct tuple of trace columns only; every trace keeps the least row
+    with its key as the witness row, as on sorted Python-int rows.  Traces
+    t and -t share a key, so row order, not trace-column order, must
+    decide."""
     width = len(codec.ident)
     coord = st.integers(-12, 12)
     row = st.tuples(*[coord] * width)
@@ -682,32 +698,42 @@ def test_record_on_numpy_rows_matches_python_rows(codec, wide, data):
     searches = [_Search(codec, [], DEFAULT_STATE_CAP) for _ in range(2)]
     array = np.array(rows, dtype=np.int64)
     searches[0]._record(_widen(array) if wide else array, 3)
-    searches[1]._record(rows, 3)
-    assert searches[0].traces == searches[1].traces
+    # Python levels are sorted lists
+    searches[1]._record(sorted(rows), 3)
+    # the traces name their witness rows by index into each level
+    got, want = ({key: (level, level_rows[i])
+                  for key, (level, i) in search.traces.items()}
+                 for search, level_rows in zip(searches, (rows, sorted(rows))))
+    assert got == want
 
 
 _TOP = (1 << 61) - 1      # the largest entry an int64 level may hold
-_ORDER_INTS = (st.sampled_from([0, 1, -1, _TOP, -_TOP, 1 << 31, -(1 << 31)])
+_DEDUP_INTS = (st.sampled_from([0, 1, -1, _TOP, -_TOP, 1 << 31, -(1 << 31)])
                | st.integers(-_TOP, _TOP))
 # n = 2**k and 2**k + 1 on both sides of a change of ceil(log2 n)
-_ORDER_SIZES = [1, 2, 3, 4, 5, 8, 9, 255, 256, 257, 1024, 1025]
+_DEDUP_SIZES = [1, 2, 3, 4, 5, 8, 9, 255, 256, 257, 1024, 1025]
 
 
 @settings(max_examples=200, deadline=None)
-@given(pool=st.lists(st.lists(_ORDER_INTS, min_size=4, max_size=4),
+@given(pool=st.lists(st.lists(_DEDUP_INTS, min_size=4, max_size=4),
                      min_size=1, max_size=6),
-       width=st.integers(1, 4), n=st.sampled_from(_ORDER_SIZES),
+       width=st.integers(1, 4), n=st.sampled_from(_DEDUP_SIZES),
        seed=st.integers(0, 2**32 - 1), distinct=st.booleans(),
        constant=st.lists(st.booleans(), min_size=4, max_size=4),
-       wide=st.booleans())
+       wide=st.booleans(), hash_bits=st.sampled_from([None, 0, 2]),
+       fortran=st.booleans())
 @example(pool=[[5, 6, 7, 8]], width=4, n=1, seed=0, distinct=False,
-         constant=[False] * 4, wide=False)
-# two 62-bit columns with n = 2: the first one spans bits 62..123 of the
-# row, across the two 63-bit chunks
+         constant=[False] * 4, wide=False, hash_bits=None, fortran=False)
+# two rows of 62-bit entries that differ in every column, one hash
 @example(pool=[[_TOP, -_TOP, 0, 0], [-_TOP, _TOP, 0, 0]], width=2, n=2,
-         seed=0, distinct=False, constant=[False] * 4, wide=False)
-def test_row_order_matches_lexsort(pool, width, n, seed, distinct, constant,
-                                   wide):
+         seed=0, distinct=False, constant=[False] * 4, wide=False,
+         hash_bits=0, fortran=True)
+def test_first_rows_marks_first_occurrences(pool, width, n, seed, distinct,
+                                            constant, wide, hash_bits,
+                                            fortran):
+    """_first_rows equals a Python first-occurrence dict, with the row hash
+    or with degenerate hashes (all equal, or 2 low bits of the first
+    column) that put different rows in one run."""
     rng = np.random.default_rng(seed)
     pool = np.array(pool, dtype=np.int64)[:, :width]
     if distinct:
@@ -721,7 +747,113 @@ def test_row_order_matches_lexsort(pool, width, n, seed, distinct, constant,
             rows[:, i] = pool[0, i]       # a zero-span column
     if wide:
         rows = _widen(rows)
-    assert np.array_equal(_row_order(rows), np.lexsort(rows.T[::-1]))
+    rows = np.asfortranarray(rows) if fortran else np.ascontiguousarray(rows)
+    if hash_bits is None:
+        hashes = _row_hash(rows)
+    else:
+        hashes = rows[:, 0].view(np.uint64) & np.uint64((1 << hash_bits) - 1)
+    first = {}
+    want = [first.setdefault(row, i) == i
+            for i, row in enumerate(map(tuple, rows.tolist()))]
+    assert _first_rows(rows, hashes).tolist() == want
+
+
+def _permute_levels(monkeypatch, seed):
+    """Make the driver permute the rows of each numpy level, with their
+    links, before the level becomes the frontier."""
+    rng = np.random.default_rng(seed)
+    np_level = _Search._np_level
+
+    def permuted(self, *args):
+        rows, (dirs, parents), new = np_level(self, *args)
+        perm = rng.permutation(len(rows))
+        return rows[perm], (dirs[perm], parents[perm]), new
+
+    monkeypatch.setattr(_Search, "_np_level", permuted)
+
+
+def _normalizer_7():
+    from fordlab.constructions import build
+    return build("normalizer", 7).subgroups[0].gens
+
+
+# (generators, max_len, bound): SL2(Z), Bianchi d = 1 and 3, the normalizer
+# p = 7, and a set whose levels go int64 -> two-limb -> Python ints
+_ORDER_FREE = [
+    ([from_ints(1, -1, 1, 0), T5], 8, 40),
+    ([MoebiusElement(bianchi_omega(1), -1, 1, 0), from_ints(1, 3, 0, 1),
+      MoebiusElement(1, bianchi_omega(1) * 3, 0, 1)], 5, 20),
+    ([MoebiusElement(bianchi_omega(3), -1, 1, 0), from_ints(1, 3, 0, 1),
+      MoebiusElement(1, bianchi_omega(3) * 3, 0, 1)], 5, 20),
+    (_normalizer_7, 8, 27),
+    ([from_ints(1, 1 << 21, 0, 1), from_ints(1, 0, 1 << 21, 1)], 5, 1 << 200),
+]
+_ORDER_FREE_IDS = ["sl2z", "bianchi-1", "bianchi-3", "normalizer-7",
+                   "int64-two-limb-python"]
+
+
+@pytest.mark.parametrize("gens, max_len, bound", _ORDER_FREE,
+                         ids=_ORDER_FREE_IDS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_numpy_level_order_changes_nothing(monkeypatch, gens, max_len, bound,
+                                           seed):
+    gens = gens() if callable(gens) else gens
+    plain = enumerate_traces(gens, max_len, bound)
+    _permute_levels(monkeypatch, seed)
+    seen = _spy_levels(monkeypatch)
+    permuted = enumerate_traces(gens, max_len, bound)
+    assert permuted.traces == plain.traces
+    assert permuted.states_explored == plain.states_explored
+    assert permuted.max_len_reached == plain.max_len_reached
+    if bound == 1 << 200:
+        assert seen == [("two-limb", _IntCodec)] * 2 + [("python", _IntCodec)]
+
+
+def _spy_links(monkeypatch):
+    """Record every level the driver makes: (search, the level before, the
+    level, its links), each level as a list of states."""
+    seen = []
+    np_level, py_level = _Search._np_level, _Search._py_level
+
+    def np_spy(self, frontier, *args):
+        rows, links, new = np_level(self, frontier, *args)
+        seen.append((self, _py_rows(frontier, self.width),
+                     _py_rows(rows, self.width), links))
+        return rows, links, new
+
+    def py_spy(self, frontier, *args):
+        rows, links = py_level(self, frontier, *args)
+        seen.append((self, frontier, rows, links))
+        return rows, links
+
+    monkeypatch.setattr(_Search, "_np_level", np_spy)
+    monkeypatch.setattr(_Search, "_py_level", py_spy)
+    return seen
+
+
+@pytest.mark.parametrize("gens, max_len, bound", _ORDER_FREE + [
+    # conjugated by diag(2, 1/2): the exact codec
+    ([MoebiusElement(2, 0, 0, Fraction(1, 2)) * g
+      * MoebiusElement(2, 0, 0, Fraction(1, 2)).inv()
+      for g in (MoebiusElement(bianchi_omega(3), -1, 1, 0),
+                from_ints(1, 3, 0, 1))], 4, 20),
+], ids=_ORDER_FREE_IDS + ["exact"])
+def test_links_replay(monkeypatch, gens, max_len, bound):
+    """Each state is its parent times its direction, and that direction is
+    the first whose inverse step lands in the level before."""
+    gens = gens() if callable(gens) else gens
+    seen = _spy_links(monkeypatch)
+    enumerate_traces(gens, max_len, bound)
+    assert len(seen) == max_len
+    for search, before, rows, (dirs, parents) in seen:
+        mul, steps = search.codec.mul, search.dirs
+        back = [steps[search.inv_idx[j]] for j in range(len(steps))]
+        before_set = set(before)
+        assert len(dirs) == len(parents) == len(rows)
+        for row, j, x in zip(rows, dirs, parents):
+            assert mul(before[x], steps[j]) == row
+            assert next(k for k, g in enumerate(back)
+                        if mul(row, g) in before_set) == j
 
 
 def test_state_cap_raises():
