@@ -39,7 +39,15 @@ from math import isqrt
 import numpy as np
 
 from fordlab.exactnum import MixedRadicand, QuadValue
-from fordlab.moebius import NotIntegral, identity, integer_entries, omega_coords
+from fordlab.moebius import (
+    NotIntegral,
+    identity,
+    integer_entries,
+    omega_ints,
+    omega_norm4,
+    omega_square,
+    omega_value,
+)
 from fordlab.tracesets import DEFAULT_STATE_CAP, EnumerationResult, StateExplosion
 
 _INT64_GUARD = 1 << 61
@@ -380,7 +388,7 @@ class _PairCodec:
     def __init__(self, d: int, bound: Fraction):
         self.d = d
         # omega^2 = e1*omega + e0
-        self.e1, self.e0 = (1, -(1 + d) // 4) if d % 4 == 3 else (0, -d)
+        self.e1, self.e0 = omega_square(d)
         self.ident = (1, 0, 0, 0, 0, 0, 1, 0)
         # the columns trace_key reads: a + d in ring coordinates
         self.trace_form = [(1, 0, 0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0, 0, 1)]
@@ -394,17 +402,18 @@ class _PairCodec:
         row = []
         for v in (g.a, g.b, g.c, g.d):
             try:
-                u, w = omega_coords(v, self.d)
+                u, w, n = omega_ints(v, self.d)
             except MixedRadicand:
                 return None
-            if u.denominator != 1 or w.denominator != 1:
+            if u % n or w % n:
                 return None
-            row.extend((u.numerator, w.numerator))
+            row.extend((u // n, w // n))
         return tuple(row)
 
     def _sign(self, u, v):
-        # sign of the canonical-positivity functional for u + v*omega
-        lead = 2 * u + v if self.d % 4 == 3 else u
+        # sign of the canonical-positivity functional for u + v*omega: the
+        # rational part of u + v*omega is (2u + e1*v) / 2
+        lead = 2 * u + self.e1 * v
         return (lead > 0) - (lead < 0) if lead else (v > 0) - (v < 0)
 
     def _product(self, x, y):
@@ -434,7 +443,7 @@ class _PairCodec:
 
     def _leads(self, cols):
         for u, v in (cols[4:6], cols[0:2], cols[2:4], cols[6:8]):
-            yield _linear([u, v], [(2, 1)])[0] if self.d % 4 == 3 else u
+            yield _linear([u, v], [(2, self.e1)])[0]
             yield v
 
     def np_in_bound(self, traces):
@@ -443,19 +452,13 @@ class _PairCodec:
 
     def trace_key(self, row):
         tu, tv = row[0] + row[6], row[1] + row[7]
-        if self._sign(tu, tv) < 0:
-            tu, tv = -tu, -tv
-        if self.d % 4 == 3:
-            x = (2 * tu + tv) ** 2 + self.d * tv * tv
-        else:
-            x = 4 * (tu * tu + self.d * tv * tv)
-        return (tu, tv) if x * self.bound_den <= self.bound4_num else None
+        if omega_norm4(tu, tv, self.d) * self.bound_den > self.bound4_num:
+            return None
+        lead = 2 * tu + self.e1 * tv
+        return (tu, tv) if lead > 0 or (not lead and tv >= 0) else (-tu, -tv)
 
     def to_qv(self, key):
-        tu, tv = key
-        if self.d % 4 == 3:
-            return QuadValue(Fraction(2 * tu + tv, 2), Fraction(tv, 2), -self.d)
-        return QuadValue(tu, tv, -self.d)
+        return omega_value(*key, 1, self.d)
 
 
 # -- exact elements ------------------------------------------------------------

@@ -22,7 +22,12 @@ from fordlab.geometry import (
     build_ford_two_gen,
     isometric_disk,
 )
-from fordlab.moebius import MoebiusElement, mm_format, parse_generator_file
+from fordlab.moebius import (
+    MoebiusElement,
+    bianchi_omega,
+    mm_format,
+    parse_generator_file,
+)
 from fordlab.tracesets import (
     StateExplosion,
     default_state_cap,
@@ -212,8 +217,9 @@ def render_strip_svg(domains, conj_disks=(), intervals=(), height=3.0) -> str:
 
 def render_prism_svg(prism: PrismDomain, conj_disks=()) -> str:
     body = []
-    corners = [prism.anchor, prism.anchor + prism.t1,
-               prism.anchor + prism.t1 + prism.t2, prism.anchor + prism.t2]
+    t1, t2 = QuadValue(3), 3 * bianchi_omega(prism.d)
+    corners = [prism.anchor, prism.anchor + t1, prism.anchor + t1 + t2,
+               prism.anchor + t2]
     points = " ".join(
         f"{_fmt(_complex_floats(c)[0] * _SCALE)},{_fmt(-_complex_floats(c)[1] * _SCALE)}"
         for c in corners)

@@ -22,6 +22,7 @@ from fordlab.geometry import (
     _rational_point_in,
     bianchi_separation_check,
     build_ford_two_gen,
+    cell_coords,
     disk_within_interval,
     infinite_area_height,
     isometric_disk,
@@ -38,7 +39,8 @@ from fordlab.moebius import (
     in_normalizer,
     in_principal,
     in_pslz,
-    omega_coords,
+    omega_ints,
+    omega_value,
 )
 from fordlab.tracesets import (
     Coverage,
@@ -117,10 +119,6 @@ class Certificate:
     enumeration_stats: dict
     verdict: str
     reasons: list
-
-    @property
-    def verified(self) -> bool:
-        return self.verdict == "Verified"
 
 
 def _translation(m) -> MoebiusElement:
@@ -480,10 +478,9 @@ def find_involution_conjugator(c_modulus: int, interval,
     raise SearchExhausted(f"no involution conjugator within height {max_height}")
 
 
-def _search_conjugator(c_modulus, interval, notes, label,
-                       max_height=120, max_power=24):
+def _search_conjugator(c_modulus, interval, notes, label):
     try:
-        return find_power_conjugator(c_modulus, interval, max_height, max_power)
+        return find_power_conjugator(c_modulus, interval)
     except SearchExhausted:
         pass
     try:
@@ -498,8 +495,8 @@ def _search_conjugator(c_modulus, interval, notes, label,
 # -- builders ----------------------------------------------------------------------
 
 
-def build(target: str, param: int | None = None, *, naive: bool = False,
-          conjugator_height: int = 120, conjugator_power: int = 24) -> Construction:
+def build(target: str, param: int | None = None, *,
+          naive: bool = False) -> Construction:
     """Materialize a named construction with exact matrices and domains."""
     if target == "modular":
         return _build_modular()
@@ -513,7 +510,7 @@ def build(target: str, param: int | None = None, *, naive: bool = False,
             c.notes.append("level 1 is the full modular group; "
                            "using the modular construction")
             return c
-        return _build_gamma0(param, conjugator_height, conjugator_power)
+        return _build_gamma0(param)
     if target == "principal":
         if param < 2:
             raise UnsupportedParameter("principal level must be >= 2")
@@ -521,7 +518,7 @@ def build(target: str, param: int | None = None, *, naive: bool = False,
     if target == "normalizer":
         if not _is_prime(param):
             raise UnsupportedParameter("normalizer parameter must be prime")
-        return _build_normalizer(param, conjugator_height, conjugator_power)
+        return _build_normalizer(param)
     if target == "bianchi":
         if not _is_square_free(param):
             raise UnsupportedParameter("bianchi parameter must be square-free >= 1")
@@ -545,13 +542,9 @@ def _build_modular() -> Construction:
                  for i, gens in enumerate(gen_sets)]
     conjugators = modular_conjugators()
     intervals = pad_intervals([s.domain for s in subgroups], conjugators)
-    combined = []
-    for gens, alpha in zip(gen_sets, conjugators):
-        inv = alpha.inv()
-        combined.extend(alpha * g * inv for g in gens)
-    return Construction("modular", 0, subgroups, list(conjugators),
-                        list(intervals), combined, TraceSetModel("modular"),
-                        "PSL2(Z)")
+    return Construction("modular", 0, subgroups, conjugators, intervals,
+                        _conjugated(subgroups, conjugators),
+                        TraceSetModel("modular"), "PSL2(Z)")
 
 
 def _two_gen_subgroups(gen_sets, labels):
@@ -562,7 +555,20 @@ def _two_gen_subgroups(gen_sets, labels):
     return subs
 
 
-def _attach_conjugators(construction, c_modulus, height, power):
+def _conjugated(subgroups, conjugators):
+    """The combined generators: each subgroup's generators conjugated by
+    its conjugator, or as they are where it has none."""
+    combined = []
+    for sub, alpha in zip(subgroups, conjugators):
+        if alpha is None:
+            combined.extend(sub.gens)
+        else:
+            inv = alpha.inv()
+            combined.extend(alpha * g * inv for g in sub.gens)
+    return combined
+
+
+def _attach_conjugators(construction, c_modulus):
     """Plan intervals, search conjugators, and fill combined generators."""
     subs = construction.subgroups
     try:
@@ -570,29 +576,20 @@ def _attach_conjugators(construction, c_modulus, height, power):
     except SearchExhausted as exc:
         construction.conjugators = [None] * len(subs)
         construction.intervals = [None] * len(subs)
-        construction.combined_gens = [g for s in subs for g in s.gens]
         construction.notes.append(f"SearchExhausted: {exc}")
-        return
-    conjugators = []
-    for sub, interval in zip(subs, intervals):
-        alpha = _search_conjugator(c_modulus, interval, construction.notes,
-                                   sub.label, height, power)
-        conjugators.append(alpha)
-    construction.intervals = list(intervals)
-    construction.conjugators = conjugators
-    combined = []
-    for sub, alpha in zip(subs, conjugators):
-        if alpha is None:
-            construction.notes.append(
-                f"SearchExhausted: no conjugator for {sub.label}")
-            combined.extend(sub.gens)
-        else:
-            inv = alpha.inv()
-            combined.extend(alpha * g * inv for g in sub.gens)
-    construction.combined_gens = combined
+    else:
+        construction.intervals = intervals
+        construction.conjugators = [
+            _search_conjugator(c_modulus, interval, construction.notes, sub.label)
+            for sub, interval in zip(subs, intervals)]
+        construction.notes.extend(
+            f"SearchExhausted: no conjugator for {sub.label}"
+            for sub, alpha in zip(subs, construction.conjugators) if alpha is None)
+    construction.combined_gens = _conjugated(subs, construction.conjugators)
 
 
-def _build_gamma0(n: int, height: int, power: int) -> Construction:
+def _gamma0_subgroups(n: int) -> list[Subgroup]:
+    """The two-generator subgroups whose combination gives Gamma0(n)."""
     if n in (2, 3, 4):
         gen_sets = gamma0_special_generators(n)
         labels = [f"G{i + 1}" for i in range(len(gen_sets))]
@@ -611,11 +608,13 @@ def _build_gamma0(n: int, height: int, power: int) -> Construction:
             else:
                 gen_sets.append([from_ints(1, 1, 0, 1), from_ints(a, b, n, d)])
                 labels.append(f"G(a={a},d={d})")
-    construction = Construction("gamma0", n,
-                                _two_gen_subgroups(gen_sets, labels),
-                                [], [], [], TraceSetModel("gamma0", n),
-                                f"Gamma0({n})")
-    _attach_conjugators(construction, n, height, power)
+    return _two_gen_subgroups(gen_sets, labels)
+
+
+def _build_gamma0(n: int) -> Construction:
+    construction = Construction("gamma0", n, _gamma0_subgroups(n), [], [], [],
+                                TraceSetModel("gamma0", n), f"Gamma0({n})")
+    _attach_conjugators(construction, n)
     return construction
 
 
@@ -636,20 +635,14 @@ def _build_principal(n: int, naive: bool = False) -> Construction:
                         notes=notes)
 
 
-def _build_normalizer(p: int, height: int, power: int) -> Construction:
-    base = _build_gamma0(p, height, power) if p >= 5 else \
-        Construction("gamma0", p,
-                     _two_gen_subgroups(gamma0_special_generators(p),
-                                        [f"G{i+1}" for i in range(2)]),
-                     [], [], [], TraceSetModel("gamma0", p), f"Gamma0({p})")
-    subs = list(base.subgroups)
-    for i, gens in enumerate(sqrt_p_generators(p)):
-        m, g2 = _split_two_gen(gens)
-        subs.append(Subgroup(f"W{i}", gens, build_ford_two_gen(m, g2)))
+def _build_normalizer(p: int) -> Construction:
+    gen_sets = sqrt_p_generators(p)
+    subs = _gamma0_subgroups(p) + _two_gen_subgroups(
+        gen_sets, [f"W{i}" for i in range(len(gen_sets))])
     construction = Construction("normalizer", p, subs, [], [], [],
                                 TraceSetModel("normalizer", p),
                                 f"N(Gamma0({p}))")
-    _attach_conjugators(construction, p, height, power)
+    _attach_conjugators(construction, p)
     return construction
 
 
@@ -708,27 +701,21 @@ def _build_bianchi(d: int) -> Construction:
             conjugators.append(None)
             continue
         delta = deltas_by_x[str(x)]
-        disk = isometric_disk(delta)
-        _, (js, jt) = prism0.canonicalize(disk.center)
+        # the lattice shift (js, jt) that moves delta's sphere into the cell
+        cx, cy, side = cell_coords(prism0,
+                                   *omega_ints(isometric_disk(delta).center, d))
+        js, jt = -(cx // side), -(cy // side)
         if (js, jt) != (0, 0):
-            tau = MoebiusElement(1, QuadValue(3) * js + (3 * om) * jt, 0, 1)
+            tau = MoebiusElement(1, omega_value(3 * js, 3 * jt, 1, d), 0, 1)
             delta = tau * delta * tau.inv()
             notes.append(f"delta[{x}] translated by lattice shift ({js},{jt}) "
                          "into the base prism")
         conjugators.append(delta)
-    combined = []
-    for sub, delta in zip(subgroups, conjugators):
-        if delta is None:
-            combined.extend(sub.gens)
-        else:
-            inv = delta.inv()
-            combined.extend(delta * g * inv for g in sub.gens)
-    construction = Construction("bianchi", d, subgroups, conjugators,
-                                [None] * len(subgroups), combined,
-                                TraceSetModel("bianchi", d),
-                                f"PSL2(O_{d})", notes=notes)
-    construction.prism = prism0
-    return construction
+    return Construction("bianchi", d, subgroups, conjugators,
+                        [None] * len(subgroups),
+                        _conjugated(subgroups, conjugators),
+                        TraceSetModel("bianchi", d), f"PSL2(O_{d})",
+                        notes=notes, prism=prism0)
 
 
 def coset_cover_check(d: int) -> CheckRecord:
@@ -736,8 +723,8 @@ def coset_cover_check(d: int) -> CheckRecord:
     residues = set()
     for x in bianchi_x_values(d):
         for sign in (1, -1):
-            u, v = omega_coords(sign * x, d)
-            residues.add((u.numerator % 3, v.numerator % 3))
+            u, v, n = omega_ints(sign * x, d)
+            residues.add((u // n % 3, v // n % 3))
     ok = len(residues) == 9
     return CheckRecord("coset_cover_mod_3", "pass" if ok else "fail",
                        witnesses={"residues": sorted(residues)})

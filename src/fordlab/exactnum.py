@@ -427,19 +427,6 @@ class QuadValue:
         p, q = self._p, self._q
         return Fraction(p * p - self.m * q * q, self._n * self._n)
 
-    # -- complex coordinate access (m <= 0) -------------------------------
-
-    def real_part(self) -> Fraction:
-        if self.m > 0:
-            raise NotReal("real_part is for rational or imaginary-quadratic values")
-        return self.a
-
-    def imag_part_qv(self) -> QuadValue:
-        """Imaginary part as an exact element of Q(sqrt(|m|))."""
-        if self.m > 0:
-            raise NotReal("imag_part is for rational or imaginary-quadratic values")
-        return _make(0, self._q, self._n, -self.m)
-
     def to_fraction(self) -> Fraction:
         if self._q != 0:
             raise ValueError(f"{self} is not rational")

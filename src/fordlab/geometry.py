@@ -23,7 +23,12 @@ from fordlab.exactnum import (
     qv,
     sqrt_qv,
 )
-from fordlab.moebius import MoebiusElement, bianchi_omega, omega_coords
+from fordlab.moebius import (
+    MoebiusElement,
+    omega_ints,
+    omega_norm4,
+    omega_value,
+)
 
 
 class FixesInfinity(ValueError):
@@ -512,48 +517,57 @@ class PrismDomain:
     def __init__(self, d: int, anchor: QuadValue,
                  excluded: list[tuple[IsometricDisk, MoebiusElement]]):
         self.d = d
-        self.omega = bianchi_omega(d)
         self.anchor = qv(anchor)
-        self.t1 = QuadValue(3)
-        self.t2 = 3 * self.omega
         self.excluded = list(excluded)
-        self.anchor_ints = _omega_ints(self.anchor, d)
+        self.anchor_ints = omega_ints(self.anchor, d)
 
     @property
     def ambient(self) -> int:
         return 3
 
-    def lattice_coords(self, z: QuadValue) -> tuple[Fraction, Fraction]:
-        u, v = omega_coords(z - self.anchor, self.d)
-        return u / 3, v / 3
-
-    def canonicalize(self, z: QuadValue) -> tuple[QuadValue, tuple[int, int]]:
-        """Translate z by the lattice into the base cell; return (point, shift)."""
-        s, t = self.lattice_coords(z)
-        js, jt = s.numerator // s.denominator, t.numerator // t.denominator
-        return z - self.t1 * js - self.t2 * jt, (-js, -jt)
-
-    def wall_distance_sq(self, z: QuadValue) -> list[Fraction]:
-        """Squared distances from z to the four wall planes."""
-        out = []
-        for p, u in ((self.anchor, self.t1), (self.anchor + self.t2, self.t1),
-                     (self.anchor, self.t2), (self.anchor + self.t1, self.t2)):
-            w = (z - p) * u.conj()
-            im2 = w.b * w.b * self.d
-            out.append(im2 / u.abs2())
-        return out
-
     def __repr__(self):
         return f"PrismDomain(d={self.d}, anchor={self.anchor}, spheres={len(self.excluded)})"
 
 
+def cell_coords(prism: PrismDomain, u: int, v: int, n: int) -> tuple[int, int, int]:
+    """Integers (x, y, s) for the point (u + v*omega) / n: its ring
+    coordinates from the prism's anchor, over the denominator m = n * A of
+    the point and the anchor, in which the base cell is 0 <= x, y <= s =
+    3m."""
+    au, av, a_den = prism.anchor_ints
+    return u * a_den - au * n, v * a_den - av * n, 3 * n * a_den
+
+
+# the edges of the base cell, each a corner w0 and a vector e in units of
+# its side s: bottom, right, top and left; and the walls in the order of
+# their margins, bottom, top, left and right
+_EDGES = ((0, 0, 1, 0), (1, 0, 0, 1), (1, 1, -1, 0), (0, 1, 0, -1))
+_WALLS = (_EDGES[0], _EDGES[2], _EDGES[3], _EDGES[1])
+
+
+def _edge_norm4s(x: int, y: int, s: int, d: int, edges,
+                 clamp: bool = True) -> list[Fraction]:
+    """4 m^2 times the squared distances from the point (x, y) of
+    ``cell_coords`` to the given edges of the base cell, or to their lines
+    without ``clamp``, m = s/3 the factor of the ring coordinates."""
+    return [_segment_norm4(x - x0 * s, y - y0 * s, eu * s, ev * s, d, clamp)
+            for x0, y0, eu, ev in edges]
+
+
+def _wall_dist_sq(x: int, y: int, s: int, d: int) -> list[Fraction]:
+    """Squared distances from the point (x, y) of ``cell_coords`` to the
+    lines of the walls, in the order of ``_WALLS``."""
+    scale = 4 * (s // 3) ** 2
+    return [q / scale for q in _edge_norm4s(x, y, s, d, _WALLS, clamp=False)]
+
+
 def ball_strictly_in_prism(disk: IsometricDisk, prism: PrismDomain) -> tuple[bool, Fraction]:
     """Closed ball strictly inside the prism; returns (ok, min squared margin)."""
-    s, t = prism.lattice_coords(disk.center)
-    if not (0 < s < 1 and 0 < t < 1):
+    x, y, s = cell_coords(prism, *omega_ints(disk.center, prism.d))
+    if not (0 < x < s and 0 < y < s):
         return False, Fraction(-1)
     worst = None
-    for dist2 in prism.wall_distance_sq(disk.center):
+    for dist2 in _wall_dist_sq(x, y, s, prism.d):
         margin = dist2 - disk.radius_sq
         if margin <= 0:
             return False, margin
@@ -562,10 +576,10 @@ def ball_strictly_in_prism(disk: IsometricDisk, prism: PrismDomain) -> tuple[boo
 
 
 def _ball_in_prism_domain(u: IsometricDisk, prism: PrismDomain) -> bool:
-    s, t = prism.lattice_coords(u.center)
-    if not (0 <= s <= 1 and 0 <= t <= 1):
+    x, y, s = cell_coords(prism, *omega_ints(u.center, prism.d))
+    if not (0 <= x <= s and 0 <= y <= s):
         return False
-    for dist2 in prism.wall_distance_sq(u.center):
+    for dist2 in _wall_dist_sq(x, y, s, prism.d):
         # closure containment allows tangency to the walls
         if dist2 < u.radius_sq:
             return False
@@ -686,55 +700,30 @@ def _interval_margin(da, dai, x, y):
 # -- separation verification (half-space) -----------------------------------------
 
 
-def _omega_ints(z: QuadValue, d: int) -> tuple[int, int, int]:
-    """Integers (u, v, n), n > 0, with z = (u + v*omega) / n for the omega
-    of ``bianchi_omega(d)``."""
-    p, q, n = z.ints()
-    if q and z.m != -d:
-        raise MixedRadicand(f"value {z} is not in Q(sqrt(-{d}))")
-    return (p - q, 2 * q, n) if d % 4 == 3 else (p, q, n)
-
-
-def _omega_value(u: int, v: int, n: int, d: int) -> QuadValue:
-    """(u + v*omega) / n as a QuadValue."""
-    return Fraction(v, n) * bianchi_omega(d) + Fraction(u, n)
-
-
-def _norm4(u: int, v: int, d: int) -> int:
-    """4 * |u + v*omega|^2."""
-    return (2 * u + v) ** 2 + d * v * v if d % 4 == 3 else 4 * (u * u + d * v * v)
-
-
 def _prism_dist_sq(prism: PrismDomain, u: int, v: int, n: int) -> Fraction:
-    """Squared distance from (u + v*omega) / n to the prism's base cell.
-
-    Over the denominator m = n * A of the point and the anchor, the cell is
-    0 <= x, y <= 3m in ring coordinates (x, y) from the anchor, and each
-    edge runs from a corner w0 along a vector e."""
-    au, av, a_den = prism.anchor_ints
-    m = n * a_den
-    x, y, s = u * a_den - au * n, v * a_den - av * n, 3 * m
+    """Squared distance from (u + v*omega) / n to the prism's base cell."""
+    x, y, s = cell_coords(prism, u, v, n)
     if 0 <= x <= s and 0 <= y <= s:
         return Fraction(0)
-    edges = ((0, 0, s, 0), (s, 0, 0, s), (s, s, -s, 0), (0, s, 0, -s))
-    return min(_segment_norm4(x - x0, y - y0, eu, ev, prism.d)
-               for x0, y0, eu, ev in edges) / (4 * m * m)
+    return min(_edge_norm4s(x, y, s, prism.d, _EDGES)) / (4 * (s // 3) ** 2)
 
 
-def _segment_norm4(wu: int, wv: int, eu: int, ev: int, d: int) -> Fraction:
-    """The least 4|w - t*e|^2 over t in [0, 1], in ring coordinates: at t =
-    B(w, e) / B(e, e) clamped to [0, 1], B the bilinear form of |.|^2."""
-    qw, qe = _norm4(wu, wv, d), _norm4(eu, ev, d)
-    b2 = _norm4(wu + eu, wv + ev, d) - qw - qe      # 8 * B(w, e)
-    if b2 <= 0:
+def _segment_norm4(wu: int, wv: int, eu: int, ev: int, d: int,
+                   clamp: bool = True) -> Fraction:
+    """The least 4|w - t*e|^2 over t in [0, 1], or over every real t
+    without ``clamp``, in ring coordinates: at t = B(w, e) / B(e, e),
+    clamped to [0, 1], B the bilinear form of |.|^2."""
+    qw, qe = omega_norm4(wu, wv, d), omega_norm4(eu, ev, d)
+    b2 = omega_norm4(wu + eu, wv + ev, d) - qw - qe      # 8 * B(w, e)
+    if clamp and b2 <= 0:
         return Fraction(qw)
-    if b2 >= 2 * qe:
-        return Fraction(_norm4(wu - eu, wv - ev, d))
+    if clamp and b2 >= 2 * qe:
+        return Fraction(omega_norm4(wu - eu, wv - ev, d))
     return Fraction(4 * qw * qe - b2 * b2, 4 * qe)
 
 
 def point_prism_dist_sq(z: QuadValue, prism: PrismDomain) -> Fraction:
-    return _prism_dist_sq(prism, *_omega_ints(z, prism.d))
+    return _prism_dist_sq(prism, *omega_ints(z, prism.d))
 
 
 _WIDE_OFFSETS = [(j, k) for j in range(-2, 3) for k in range(-2, 3)]
@@ -742,11 +731,10 @@ _WIDE_OFFSETS = [(j, k) for j in range(-2, 3) for k in range(-2, 3)]
 
 def _lattice_translates(prism: PrismDomain, z: QuadValue) -> list[tuple]:
     """The translates of z's canonical representative by j*t1 + k*t2,
-    |j|, |k| <= 2, in ``_WIDE_OFFSETS`` order, as ``_omega_ints``."""
-    u, v, n = _omega_ints(z, prism.d)
-    au, av, a_den = prism.anchor_ints
-    cell = 3 * n * a_den
-    js, jt = (u * a_den - au * n) // cell, (v * a_den - av * n) // cell
+    |j|, |k| <= 2, in ``_WIDE_OFFSETS`` order, as ``omega_ints``."""
+    u, v, n = omega_ints(z, prism.d)
+    x, y, s = cell_coords(prism, u, v, n)
+    js, jt = x // s, y // s
     return [(u + 3 * n * (j - js), v + 3 * n * (k - jt), n)
             for j, k in _WIDE_OFFSETS]
 
@@ -765,7 +753,7 @@ def sphere_translates_meeting_prism(prism: PrismDomain,
                 continue
             seen.add(key)
             if _prism_dist_sq(prism, u, v, n) <= radius_sq:
-                centers.append(_omega_value(u, v, n, prism.d))
+                centers.append(omega_value(u, v, n, prism.d))
     centers.sort(key=lambda c: (c.a, c.b))
     return centers
 
@@ -779,7 +767,7 @@ def _spheres_apart(sa, sb, d: int) -> int:
     scale = 4 * (na * nb) ** 2
     a = ra.numerator * rb.denominator * scale
     b = rb.numerator * ra.denominator * scale
-    x = (_norm4(ua * nb - ub * na, va * nb - vb * na, d)
+    x = (omega_norm4(ua * nb - ub * na, va * nb - vb * na, d)
          * ra.denominator * rb.denominator - a - b)
     if x < 0:
         return -1
@@ -835,7 +823,7 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
                                       witnesses={"error": "FixesInfinity"}))
             continue
         ddisk = isometric_disk(delta)
-        sphere = (*_omega_ints(ddisk.center, d), ddisk.radius_sq)
+        sphere = (*omega_ints(ddisk.center, d), ddisk.radius_sq)
         delta_disks.append((idx, ddisk, sphere))
 
         ok, margin2 = ball_strictly_in_prism(ddisk, prism)
@@ -849,7 +837,7 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
             unit_ints += _lattice_translates(prism, x)
         clear = all(_spheres_apart(sphere, (*c, Fraction(1)), d) > 0
                     for c in unit_ints)
-        unit_centers = [_omega_value(*c, d) for c in unit_ints]
+        unit_centers = [omega_value(*c, d) for c in unit_ints]
         worst = None
         for center in unit_centers:
             lin = _linear_sphere_margin(ddisk.center, ddisk.radius_sq,

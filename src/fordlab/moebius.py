@@ -15,6 +15,7 @@ from fordlab.exactnum import (
     MixedRadicand,
     NotReal,
     QuadValue,
+    _make,
     qv,
     qv_format,
     qv_parse,
@@ -241,23 +242,41 @@ def bianchi_omega(d: int) -> QuadValue:
     return QuadValue(0, 1, -d)
 
 
-def omega_coords(v: QuadValue, d: int) -> tuple[Fraction, Fraction]:
-    """Coordinates (u, v) of a value u + v*omega in the ring basis (1, omega)."""
-    if v.b != 0 and v.m != -d:
-        raise MixedRadicand(f"value {v} is not in Q(sqrt(-{d}))")
+def omega_square(d: int) -> tuple[int, int]:
+    """(e1, e0) with omega^2 = e1*omega + e0, for the omega of
+    ``bianchi_omega(d)``."""
+    return (1, -(1 + d) // 4) if d % 4 == 3 else (0, -d)
+
+
+def omega_ints(z: QuadValue, d: int) -> tuple[int, int, int]:
+    """Integers (u, v, n), n > 0, with z = (u + v*omega) / n for the omega
+    of ``bianchi_omega(d)``; z is a ring integer when n divides u and v."""
+    p, q, n = z.ints()
+    if q and z.m != -d:
+        raise MixedRadicand(f"value {z} is not in Q(sqrt(-{d}))")
+    return (p - q, 2 * q, n) if d % 4 == 3 else (p, q, n)
+
+
+def omega_value(u: int, v: int, n: int, d: int) -> QuadValue:
+    """(u + v*omega) / n as a QuadValue, for square-free d."""
     if d % 4 == 3:
-        return v.a - v.b, 2 * v.b
-    return v.a, v.b
+        return _make(2 * u + v, v, 2 * n, -d)
+    return _make(u, v, n, -d)
+
+
+def omega_norm4(u: int, v: int, d: int) -> int:
+    """4 * |u + v*omega|^2."""
+    return (2 * u + v) ** 2 + d * v * v if d % 4 == 3 else 4 * (u * u + d * v * v)
 
 
 def in_bianchi(x: MoebiusElement, d: int) -> bool:
     """Entries lie in the ring of integers of Q(sqrt(-d))."""
     for v in (x.a, x.b, x.c, x.d):
         try:
-            u, w = omega_coords(v, d)
+            u, w, n = omega_ints(v, d)
         except MixedRadicand:
             return False
-        if u.denominator != 1 or w.denominator != 1:
+        if u % n or w % n:
             return False
     return True
 

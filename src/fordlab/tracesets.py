@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from fordlab.exactnum import MixedRadicand, QuadValue, qv
-from fordlab.moebius import bianchi_omega, canonicalize_trace, omega_coords
+from fordlab.moebius import bianchi_omega, canonicalize_trace, omega_ints
 
 __all__ = [
     "EnumerationResult",
@@ -180,10 +180,10 @@ def model_contains(model: TraceSetModel, t: QuadValue) -> bool:
             return t.a == 0 or model_contains(TraceSetModel("gamma0", n), t)
         return t.m == n and t.a == 0 and t.b.denominator == 1
     try:
-        u, v = omega_coords(t, n)
+        u, v, den = omega_ints(t, n)
     except MixedRadicand:
         return False
-    return u.denominator == 1 and v.denominator == 1
+    return u % den == 0 and v % den == 0
 
 
 def enumerate_traces(gens, max_word_len: int, trace_bound,

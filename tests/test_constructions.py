@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from fordlab.exactnum import QuadValue
 from fordlab.geometry import Disjointness, disks_disjoint, isometric_disk
-from fordlab.moebius import bianchi_omega, from_ints
+import fordlab.constructions
+from fordlab.moebius import bianchi_omega, from_ints, mm_format
 from fordlab.constructions import (
     SearchExhausted,
     UnsupportedParameter,
@@ -196,3 +198,49 @@ def test_int_disks_fit_matches_fraction_bounds(a, b, c, d, x, y):
         got = _int_disks_fit(a, b, c, d, lo.numerator, lo.denominator,
                              hi.numerator, hi.denominator)
         assert got == _fraction_disks_fit(a, c, d, lo, hi)
+
+
+def _construction_text(c) -> str:
+    """Labels, generators, conjugators, intervals, combined generators and
+    notes of a construction, one text line each."""
+    lines = [f"sub {s.label} " + " ".join(map(mm_format, s.gens))
+             for s in c.subgroups]
+    lines.append("conj " + " ".join("-" if a is None else mm_format(a)
+                                    for a in c.conjugators))
+    lines.append("intervals " + " ".join("-" if iv is None else f"{iv[0]},{iv[1]}"
+                                         for iv in c.intervals))
+    lines.append("combined " + " ".join(map(mm_format, c.combined_gens)))
+    lines.extend(f"note {n}" for n in c.notes)
+    return "\n".join(lines)
+
+
+# sha256 of _construction_text(build("normalizer", p)), recorded when
+# Gamma0(p)'s subgroups were still taken from a full _build_gamma0 run
+NORMALIZER_DIGESTS = {
+    2: "d590bbfaa8b971d444ff37887095f228d6e70f865c6bad10e926e02b28ac57fa",
+    3: "f4b8b30c8206ad6983321ea13499052704c8d0c1d8756eaeea2ee4ff7afbaa08",
+    5: "25334b21b77be8077684e490acf3892df4f69d20af6693eb790a8ac3371af552",
+    7: "fcb2401c560712e1632678954e42a25b869c3a6402d4407264c7ea62a96e30fa",
+    11: "35a4b12c0aef98c0df647ac0d355212b910ef6b2e4d76f05cfc26d2abeb29638",
+    13: "6811413d51c339610bff96004d296e088adebe651528c132d8e0cd50a4ac78fa",
+}
+
+
+@pytest.mark.parametrize("p", sorted(NORMALIZER_DIGESTS))
+def test_normalizer_build_unchanged(p):
+    text = _construction_text(build("normalizer", p))
+    assert hashlib.sha256(text.encode()).hexdigest() == NORMALIZER_DIGESTS[p]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_normalizer_searches_conjugators_once(monkeypatch, p):
+    calls = []
+    attach = fordlab.constructions._attach_conjugators
+
+    def spy(construction, *args):
+        calls.append(construction.target)
+        return attach(construction, *args)
+
+    monkeypatch.setattr(fordlab.constructions, "_attach_conjugators", spy)
+    build("normalizer", p)
+    assert calls == ["normalizer"]

@@ -33,13 +33,20 @@ from fordlab.geometry import (
     PrismDomain,
     _interval_margin,
     _lattice_translates,
+    _ball_in_prism_domain,
     _linear_sphere_margin,
-    _omega_ints,
-    _omega_value,
     _separation_expr,
     _spheres_apart,
+    cell_coords,
 )
-from fordlab.moebius import MoebiusElement, bianchi_omega, from_ints, in_pslz
+from fordlab.moebius import (
+    MoebiusElement,
+    bianchi_omega,
+    from_ints,
+    in_pslz,
+    omega_ints,
+    omega_value,
+)
 
 S = from_ints(0, -1, 1, 0)
 T5 = from_ints(1, 5, 0, 1)
@@ -473,8 +480,8 @@ def _radical_sign(ca, r2a, cb, r2b):
 
 
 def _int_sign(ca, r2a, cb, r2b, d):
-    return _spheres_apart((*_omega_ints(ca, d), r2a),
-                          (*_omega_ints(cb, d), r2b), d)
+    return _spheres_apart((*omega_ints(ca, d), r2a),
+                          (*omega_ints(cb, d), r2b), d)
 
 
 @settings(max_examples=300, deadline=None)
@@ -485,7 +492,7 @@ def _int_sign(ca, r2a, cb, r2b, d):
 def test_sphere_sign_on_integers_matches_radical_formula(d, a, b, shift_a,
                                                          shift_b, r2a, r2b):
     ca, cb = QuadValue(a, b, -d), QuadValue(a + shift_a, b + shift_b, -d)
-    assert _omega_value(*_omega_ints(ca, d), d) == ca
+    assert omega_value(*omega_ints(ca, d), d) == ca
     want = _radical_sign(ca, r2a, cb, r2b)
     assert _int_sign(ca, r2a, cb, r2b, d) == want
     assert _int_sign(cb, r2b, ca, r2a, d) == want
@@ -516,14 +523,71 @@ def test_sphere_sign_on_integers_at_tangency(d, a, b, length, part, imaginary,
     assert _int_sign(ca, r2a, cb, r2b, d) == want
 
 
+# The former QuadValue and Fraction forms of the prism predicates: the cell
+# spanned by t1 = 3 and t2 = 3*omega from the anchor, lattice coordinates
+# in that basis, and the squared distances to the wall lines.
+
+def _seed_cell(prism):
+    return QuadValue(3), 3 * bianchi_omega(prism.d)
+
+
+def _seed_lattice_coords(prism, z):
+    w = qv(z) - prism.anchor
+    if prism.d % 4 == 3:
+        u, v = w.a - w.b, 2 * w.b
+    else:
+        u, v = w.a, w.b
+    return u / 3, v / 3
+
+
+def _seed_canonicalize(prism, z):
+    """Translate z by the lattice into the base cell; return (point, shift)."""
+    s, t = _seed_lattice_coords(prism, z)
+    js, jt = s.numerator // s.denominator, t.numerator // t.denominator
+    t1, t2 = _seed_cell(prism)
+    return qv(z) - t1 * js - t2 * jt, (-js, -jt)
+
+
+def _seed_wall_distance_sq(prism, z):
+    """Squared distances from z to the four wall planes."""
+    t1, t2 = _seed_cell(prism)
+    out = []
+    for p, u in ((prism.anchor, t1), (prism.anchor + t2, t1),
+                 (prism.anchor, t2), (prism.anchor + t1, t2)):
+        w = (z - p) * u.conj()
+        out.append(w.b * w.b * prism.d / u.abs2())
+    return out
+
+
+def _seed_ball_strictly_in_prism(disk, prism):
+    s, t = _seed_lattice_coords(prism, disk.center)
+    if not (0 < s < 1 and 0 < t < 1):
+        return False, Fraction(-1)
+    worst = None
+    for dist2 in _seed_wall_distance_sq(prism, disk.center):
+        margin = dist2 - disk.radius_sq
+        if margin <= 0:
+            return False, margin
+        worst = margin if worst is None else min(worst, margin)
+    return True, worst
+
+
+def _seed_ball_in_prism_domain(disk, prism):
+    s, t = _seed_lattice_coords(prism, disk.center)
+    return (0 <= s <= 1 and 0 <= t <= 1
+            and all(dist2 >= disk.radius_sq
+                    for dist2 in _seed_wall_distance_sq(prism, disk.center)))
+
+
 def _seed_point_prism_dist_sq(z, prism):
     """The QuadValue form of point_prism_dist_sq: the nearest point of each
     edge by a clamped projection."""
-    s, t = prism.lattice_coords(z)
+    s, t = _seed_lattice_coords(prism, z)
     if 0 <= s <= 1 and 0 <= t <= 1:
         return Fraction(0)
-    corners = [prism.anchor, prism.anchor + prism.t1,
-               prism.anchor + prism.t1 + prism.t2, prism.anchor + prism.t2]
+    t1, t2 = _seed_cell(prism)
+    corners = [prism.anchor, prism.anchor + t1, prism.anchor + t1 + t2,
+               prism.anchor + t2]
     best = None
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
@@ -536,9 +600,9 @@ def _seed_point_prism_dist_sq(z, prism):
 
 
 def _seed_translates(prism, z):
-    base0, _ = prism.canonicalize(qv(z))
-    return [base0 + prism.t1 * j + prism.t2 * k
-            for j in range(-2, 3) for k in range(-2, 3)]
+    base0, _ = _seed_canonicalize(prism, z)
+    t1, t2 = _seed_cell(prism)
+    return [base0 + t1 * j + t2 * k for j in range(-2, 3) for k in range(-2, 3)]
 
 
 def _seed_translates_meeting_prism(prism, bases, radius_sq):
@@ -575,12 +639,81 @@ def test_prism_predicates_on_integers_match_quadvalue_forms(d, anchor, points,
     if anchor is not None:
         anchor = QuadValue(anchor[0], anchor[1], -d)
     prism = _prism_for(d, anchor)
-    zs = [prism.anchor + prism.t1 * s + prism.t2 * t for s, t in points]
+    t1, t2 = _seed_cell(prism)
+    zs = [prism.anchor + t1 * s + t2 * t for s, t in points]
     for z in zs:
         assert point_prism_dist_sq(z, prism) == _seed_point_prism_dist_sq(z, prism)
-        assert [_omega_value(*c, d) for c in _lattice_translates(prism, z)] \
+        assert [omega_value(*c, d) for c in _lattice_translates(prism, z)] \
             == _seed_translates(prism, z)
     got = sphere_translates_meeting_prism(prism, zs, radius_sq)
     want = _seed_translates_meeting_prism(prism, zs, radius_sq)
     assert got == want
     assert [(c.a, c.b) for c in got] == [(c.a, c.b) for c in want]
+
+
+# mostly inside the cell, where several walls may fail and the first
+# one's margin is reported
+_IN_CELL = st.fractions(min_value=0, max_value=1, max_denominator=50) | _CELL
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from(_RINGS), anchor=st.none() | st.tuples(_RATS, _RATS),
+       point=st.tuples(_IN_CELL, _IN_CELL),
+       wall=st.sampled_from([None, 0, 1, 2, 3]),
+       radius_sq=st.sampled_from([Fraction(1, 10 ** 6), Fraction(1, 9),
+                                  Fraction(1), Fraction(7, 2), Fraction(9)]),
+       nudge=st.sampled_from([-1, 0, 1]))
+@example(d=3, anchor=None, point=(Fraction(1, 2), Fraction(0)), wall=None,
+         radius_sq=Fraction(1, 9), nudge=0)
+@example(d=7, anchor=None, point=(Fraction(1, 2), Fraction(1, 2)), wall=None,
+         radius_sq=Fraction(1, 9), nudge=0)
+@example(d=1, anchor=None, point=(Fraction(3, 10), Fraction(1, 5)), wall=None,
+         radius_sq=Fraction(9), nudge=0)
+def test_ball_in_prism_on_integers_matches_wall_formula(d, anchor, point, wall,
+                                                        radius_sq, nudge):
+    """ok and margin of ball_strictly_in_prism, and the closed test of
+    disk_in_domain, agree with the lattice-coordinate and wall-plane
+    formulas: for centres on walls and corners and outside the cell, and
+    for radii equal to a wall distance (margin 0) or nudged off it."""
+    if anchor is not None:
+        anchor = QuadValue(anchor[0], anchor[1], -d)
+    prism = _prism_for(d, anchor)
+    t1, t2 = _seed_cell(prism)
+    z = prism.anchor + t1 * point[0] + t2 * point[1]
+    if wall is not None:
+        radius_sq = _seed_wall_distance_sq(prism, z)[wall] or radius_sq
+        radius_sq += nudge * radius_sq / (1 << 40)
+    disk = IsometricDisk(z, radius_sq, None)
+    got = ball_strictly_in_prism(disk, prism)
+    assert got == _seed_ball_strictly_in_prism(disk, prism)
+    assert _ball_in_prism_domain(disk, prism) == _seed_ball_in_prism_domain(disk, prism)
+
+
+@given(d=st.sampled_from(_RINGS), anchor=st.none() | st.tuples(_RATS, _RATS),
+       point=st.tuples(_CELL, _CELL))
+def test_cell_shift_matches_canonicalize(d, anchor, point):
+    """The lattice shift read off cell_coords, as _build_bianchi reads it,
+    is the one the former canonicalize returned."""
+    if anchor is not None:
+        anchor = QuadValue(anchor[0], anchor[1], -d)
+    prism = _prism_for(d, anchor)
+    t1, t2 = _seed_cell(prism)
+    z = prism.anchor + t1 * point[0] + t2 * point[1]
+    x, y, side = cell_coords(prism, *omega_ints(z, d))
+    base, shift = _seed_canonicalize(prism, z)
+    assert (-(x // side), -(y // side)) == shift
+    assert z + t1 * shift[0] + t2 * shift[1] == base
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 10, 19])
+def test_bianchi_conjugators_shifted_as_by_canonicalize(d):
+    from fordlab.constructions import bianchi_deltas, bianchi_x_values, build
+    c = build("bianchi", d)
+    t1, t2 = _seed_cell(c.prism)
+    want = [None]
+    for x in bianchi_x_values(d)[1:]:
+        delta = bianchi_deltas(d)[str(x)]
+        _, (js, jt) = _seed_canonicalize(c.prism, isometric_disk(delta).center)
+        tau = MoebiusElement(1, t1 * js + t2 * jt, 0, 1)
+        want.append(tau * delta * tau.inv())
+    assert c.conjugators == want

@@ -23,7 +23,9 @@ from fordlab.moebius import (
     in_principal,
     mm_format,
     mm_parse,
-    omega_coords,
+    omega_ints,
+    omega_norm4,
+    omega_value,
     parse_generator_file,
 )
 
@@ -134,11 +136,44 @@ def test_bianchi_membership():
     assert not in_bianchi(g, 5)
 
 
-def test_omega_coords():
-    assert omega_coords(bianchi_omega(1), 1) == (0, 1)
-    assert omega_coords(bianchi_omega(3), 3) == (0, 1)
+def test_omega_ints():
+    assert omega_ints(bianchi_omega(1), 1) == (0, 1, 1)
+    assert omega_ints(bianchi_omega(3), 3) == (0, 2, 2)      # (0, 1) over 2
     v = QuadValue(2) + bianchi_omega(7) * 3
-    assert omega_coords(v, 7) == (2, 3)
+    assert omega_ints(v, 7) == (4, 6, 2)                     # (2, 3) over 2
+    with pytest.raises(MixedRadicand):
+        omega_ints(bianchi_omega(2), 7)
+
+
+def _fraction_omega_coords(v: QuadValue, d: int) -> tuple[Fraction, Fraction]:
+    """The former Fraction form of the coordinates (u, v) of u + v*omega."""
+    if d % 4 == 3:
+        return v.a - v.b, 2 * v.b
+    return v.a, v.b
+
+
+_OMEGA_RINGS = [1, 2, 3, 5, 7, 19]
+_SMALL_OR_HUGE = st.integers(-9, 9) | st.integers(-(1 << 70), 1 << 70)
+
+
+@given(d=st.sampled_from(_OMEGA_RINGS), u=_SMALL_OR_HUGE, v=_SMALL_OR_HUGE,
+       n=st.integers(1, 12) | st.integers(1, 1 << 70))
+def test_omega_ints_round_trip_and_integrality(d, u, v, n):
+    z = omega_value(u, v, n, d)
+    assert z == (QuadValue(u) + bianchi_omega(d) * v) / n
+    zu, zv, zn = omega_ints(z, d)
+    assert omega_value(zu, zv, zn, d) == z
+    assert Fraction(zu, zn) == Fraction(u, n) and Fraction(zv, zn) == Fraction(v, n)
+    fu, fv = _fraction_omega_coords(z, d)
+    integral = fu.denominator == 1 and fv.denominator == 1
+    assert (zu % zn == 0 and zv % zn == 0) == integral
+    g = MoebiusElement(1, z, 0, 1)
+    assert in_bianchi(g, d) == integral
+
+
+@given(d=st.sampled_from(_OMEGA_RINGS), u=_SMALL_OR_HUGE, v=_SMALL_OR_HUGE)
+def test_omega_norm4_is_four_abs2(d, u, v):
+    assert omega_norm4(u, v, d) == 4 * omega_value(u, v, 1, d).abs2()
 
 
 def test_determinant_enforced():
