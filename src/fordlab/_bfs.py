@@ -495,20 +495,21 @@ class _ExactCodec:
 
 
 def _make_codec(gens, bound: Fraction):
-    """The codec for a generator set: the integer encoding that the radicands
-    of its entries name, if every generator has a row in it, else the exact
-    codec.  No radicand names integer matrices, one p > 0 the normalizer
-    encoding and one -d < 0 the integers of Q(sqrt(-d))."""
-    radicands = {v.m for g in gens for v in (g.a, g.b, g.c, g.d) if v.m}
-    codec = None
-    if not radicands:
-        codec = _IntCodec(bound)
-    elif len(radicands) == 1:
-        (m,) = radicands
-        codec = _IntCodec(bound, m) if m > 0 else _PairCodec(-m, bound)
-    if codec is not None and all(codec.entries(g) is not None for g in gens):
+    """The codec for a generator set: the integer encoding that the radicand
+    of its entries names, if every generator has a row in it, else the exact
+    codec.  No radicand names integer matrices, p > 0 the normalizer
+    encoding and -d < 0 the integers of Q(sqrt(-d)).  Generators over two
+    quadratic rings have no products: MixedRadicand."""
+    radicands = sorted({v.m for g in gens for v in (g.a, g.b, g.c, g.d)
+                        if v.m})
+    if len(radicands) > 1:
+        raise MixedRadicand("generators span the quadratic rings of "
+                            + " and ".join(f"sqrt({m})" for m in radicands))
+    m = radicands[0] if radicands else 0
+    codec = _PairCodec(-m, bound) if m < 0 else _IntCodec(bound, m or None)
+    if all(codec.entries(g) is not None for g in gens):
         return codec
-    return _ExactCodec(bound, any(m < 0 for m in radicands))
+    return _ExactCodec(bound, m < 0)
 
 
 # -- the driver ----------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -14,7 +15,7 @@ from fordlab.constructions import (
     build,
     verify_construction,
 )
-from fordlab.exactnum import NotReal, PrecisionExhausted, QuadValue, qv_format
+from fordlab.exactnum import MixedRadicand, NotReal, QuadValue, qv_format
 from fordlab.geometry import (
     LemmaViolation,
     PrismDomain,
@@ -170,49 +171,44 @@ def _svg_line(x1, y1, x2, y2, color, width=1):
             f'stroke="{color}" stroke-width="{width}"/>')
 
 
-def _qv_float(v: QuadValue) -> float:
-    import math
+def _floats(v: QuadValue) -> tuple[float, float]:
+    """(re, im) of v as floats."""
     if v.m >= 0:
-        return float(v.a) + float(v.b) * math.sqrt(v.m)
-    raise ValueError("complex value has no single float image")
-
-
-def _complex_floats(v: QuadValue):
-    import math
-    if v.m >= 0:
-        return _qv_float(v), 0.0
+        return float(v.a) + float(v.b) * math.sqrt(v.m), 0.0
     return float(v.a), float(v.b) * math.sqrt(-v.m)
+
+
+def _svg_document(body, min_x, max_x, min_y, max_y) -> str:
+    """The SVG of body, its view one unit beyond the given extent."""
+    view = " ".join(_fmt(v * _SCALE) for v in (
+        min_x - 1, -(max_y + 1), max_x - min_x + 2, max_y - min_y + 2))
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">'
+    return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
 def render_strip_svg(domains, conj_disks=(), intervals=(), height=3.0) -> str:
     body = []
     lo, hi = None, None
     for domain in domains:
-        left, right = _qv_float(domain.left()), _qv_float(domain.right())
+        left, right = _floats(domain.left())[0], _floats(domain.right())[0]
         lo = left if lo is None else min(lo, left)
         hi = right if hi is None else max(hi, right)
         body.append(_svg_line(left, 0, left, height, "#0868c4"))
         body.append(_svg_line(right, 0, right, height, "#0868c4"))
         for disk, owner in domain.excluded:
-            cx = _qv_float(disk.center)
+            cx = _floats(disk.center)[0]
             r = float(disk.radius_sq) ** 0.5
             body.extend(_svg_circle(cx, 0, r, "#444444", mm_format(owner)))
     for disk, label in conj_disks:
-        cx, cy = _complex_floats(disk.center)
+        cx, cy = _floats(disk.center)
         r = float(disk.radius_sq) ** 0.5
         body.extend(_svg_circle(cx, cy, r, "#c22222", label))
     for x, y in intervals:
-        body.append(_svg_line(_qv_float(x), 0, _qv_float(y), 0, "#22a022", 3))
+        body.append(_svg_line(_floats(x)[0], 0, _floats(y)[0], 0, "#22a022", 3))
     if lo is None:
         lo, hi = -1.0, 1.0
     body.append(_svg_line(lo - 0.5, 0, hi + 0.5, 0, "#000000"))
-    min_x = (lo - 1) * _SCALE
-    width = (hi - lo + 2) * _SCALE
-    min_y = -(height + 1) * _SCALE
-    h = (height + 2) * _SCALE
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'viewBox="{_fmt(min_x)} {_fmt(min_y)} {_fmt(width)} {_fmt(h)}">')
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return _svg_document(body, lo, hi, 0, height)
 
 
 def render_prism_svg(prism: PrismDomain, conj_disks=()) -> str:
@@ -220,33 +216,22 @@ def render_prism_svg(prism: PrismDomain, conj_disks=()) -> str:
     t1, t2 = QuadValue(3), 3 * bianchi_omega(prism.d)
     corners = [prism.anchor, prism.anchor + t1, prism.anchor + t1 + t2,
                prism.anchor + t2]
-    points = " ".join(
-        f"{_fmt(_complex_floats(c)[0] * _SCALE)},{_fmt(-_complex_floats(c)[1] * _SCALE)}"
-        for c in corners)
+    xs, ys = map(list, zip(*map(_floats, corners)))
+    points = " ".join(f"{_fmt(x * _SCALE)},{_fmt(-y * _SCALE)}"
+                      for x, y in zip(xs, ys))
     body.append(f'<polygon points="{points}" fill="none" stroke="#0868c4" '
                 'stroke-width="1"/>')
-    xs, ys = [], []
-    for c in corners:
-        fx, fy = _complex_floats(c)
-        xs.append(fx)
-        ys.append(fy)
     for disk, owner in prism.excluded:
-        cx, cy = _complex_floats(disk.center)
+        cx, cy = _floats(disk.center)
         r = float(disk.radius_sq) ** 0.5
         body.extend(_svg_circle(cx, cy, r, "#444444", mm_format(owner)))
         xs.extend((cx - r, cx + r))
         ys.extend((cy - r, cy + r))
     for disk, label in conj_disks:
-        cx, cy = _complex_floats(disk.center)
+        cx, cy = _floats(disk.center)
         r = float(disk.radius_sq) ** 0.5
         body.extend(_svg_circle(cx, cy, r, "#c22222", label))
-    min_x = (min(xs) - 1) * _SCALE
-    width = (max(xs) - min(xs) + 2) * _SCALE
-    min_y = -(max(ys) + 1) * _SCALE
-    h = (max(ys) - min(ys) + 2) * _SCALE
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'viewBox="{_fmt(min_x)} {_fmt(min_y)} {_fmt(width)} {_fmt(h)}">')
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return _svg_document(body, min(xs), max(xs), min(ys), max(ys))
 
 
 def render_construction_svg(construction) -> str:
@@ -298,6 +283,21 @@ def _search_args(args, default_bound):
     return bound, args.state_cap
 
 
+def _emit(path, text) -> bool:
+    """Write text to the file at path, or to stdout when path is None;
+    False, after an i/o error line on stderr, when that fails."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_verify(args) -> int:
     try:
         kind, param = parse_target(args.target)
@@ -316,18 +316,9 @@ def cmd_verify(args) -> int:
     elapsed = time.monotonic() - started
     report = certificate_report(cert, bound, elapsed,
                                 normalize_timings=args.normalize_timings)
-    text = dump_report(report)
-    try:
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        if args.svg:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(render_construction_svg(construction))
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+    if not _emit(args.report or None, dump_report(report)):
+        return EXIT_IO
+    if args.svg and not _emit(args.svg, render_construction_svg(construction)):
         return EXIT_IO
     print(f"{report['target']}: {cert.verdict}"
           + (f" ({'; '.join(cert.reasons[:3])})" if cert.reasons else ""))
@@ -356,24 +347,18 @@ def cmd_traces(args) -> int:
     try:
         result = enumerate_traces(gens, args.max_word, bound,
                                   state_cap=state_cap)
-    except (StateExplosion, PrecisionExhausted) as exc:
+    except StateExplosion as exc:
         # the search was cut short: no answer, as for an Undecided verify
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except MixedRadicand as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     lines = [f"trace {qv_format(t)} word {word}"
              for t, word in sorted(result.traces.items(),
                                    key=lambda kv: trace_sort_key(kv[0]))]
     text = "\n".join(lines) + ("\n" if lines else "")
-    try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_VERIFIED
+    return EXIT_VERIFIED if _emit(args.out or None, text) else EXIT_IO
 
 
 def cmd_render(args) -> int:
@@ -395,13 +380,7 @@ def cmd_render(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_VERIFIED
+    return EXIT_VERIFIED if _emit(args.out, svg) else EXIT_IO
 
 
 class _Parser(argparse.ArgumentParser):

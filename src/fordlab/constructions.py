@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from fordlab.exactnum import PrecisionExhausted, QuadValue, qv, sqrt_qv
+from fordlab.exactnum import QuadValue, qv, sqrt_qv
 from fordlab.geometry import (
     CheckRecord,
     LemmaViolation,
@@ -249,18 +249,13 @@ def bianchi_deltas(d: int):
 # -- interval planning -------------------------------------------------------------
 
 
-def _qv_cmp_key(v: QuadValue):
-    from functools import cmp_to_key
-    return cmp_to_key(lambda a, b: a.cmp_real(b))(v)
-
-
 def free_segments(domain: StripDomain):
     """Maximal open segments of the strip's real trace off all disk shadows."""
     shadows = []
     for disk, _ in domain.excluded:
         r = sqrt_qv(disk.radius_sq)
         shadows.append((disk.center - r, disk.center + r))
-    shadows.sort(key=lambda s: _qv_cmp_key(s[0]))
+    shadows.sort(key=lambda s: s[0])
     merged = []
     for lo, hi in shadows:
         if merged and lo.cmp_real(merged[-1][1]) <= 0:
@@ -301,7 +296,7 @@ def pad_intervals(domains, conjugators):
             if (disk.center + rr).cmp_real(hi) > 0:
                 hi = disk.center + rr
         extents.append((lo, hi, r, domain))
-    order = sorted(range(len(extents)), key=lambda i: _qv_cmp_key(extents[i][0]))
+    order = sorted(range(len(extents)), key=lambda i: extents[i][0])
     results = [None] * len(extents)
     for pos, i in enumerate(order):
         lo, hi, r, domain = extents[i]
@@ -314,8 +309,8 @@ def pad_intervals(domains, conjugators):
         if pos + 1 < len(order):
             next_lo = extents[order[pos + 1]][0]
             pads_right.append((next_lo - hi) / 2)
-        pad_l = _qv_min(pads_left)
-        pad_r = _qv_min(pads_right)
+        pad_l = min(pads_left)
+        pad_r = min(pads_right)
         if pad_l.sign_real() <= 0 or pad_r.sign_real() <= 0:
             raise SearchExhausted("no room to separate conjugator disks")
         results[i] = (lo - pad_l, hi + pad_r)
@@ -327,14 +322,6 @@ def _containing_segment(domain, lo, hi):
         if seg_lo.cmp_real(lo) <= 0 and seg_hi.cmp_real(hi) >= 0:
             return seg_lo, seg_hi
     raise SearchExhausted("conjugator disks are not inside one free segment")
-
-
-def _qv_min(values):
-    best = values[0]
-    for v in values[1:]:
-        if v.cmp_real(best) < 0:
-            best = v
-    return best
 
 
 def plan_intervals(domains):
@@ -349,8 +336,7 @@ def plan_intervals(domains):
         for seg in free_segments(domain):
             width = seg[1] - seg[0]
             candidates.append((width, idx, seg))
-    candidates.sort(key=lambda c: (_qv_cmp_key(-c[0]), c[1],
-                                   _qv_cmp_key(c[2][0])))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2][0]))
     chosen: dict[int, tuple] = {}
     taken: list[tuple] = []
     for width, idx, seg in candidates:
@@ -689,17 +675,12 @@ def _build_bianchi(d: int) -> Construction:
     deltas_by_x = bianchi_deltas(d)
     t3 = from_ints(1, 3, 0, 1)
     t3w = MoebiusElement(1, 3 * om, 0, 1)
-    subgroups = []
-    conjugators = []
+    subgroups = [Subgroup(f"P[{x}]", [MoebiusElement(x, -1, 1, 0), t3, t3w],
+                          bianchi_prism(d, x), x=x) for x in xs]
+    prism0 = subgroups[0].domain        # the coset x = 0
+    conjugators = [None]
     notes = []
-    prism0 = bianchi_prism(d, QuadValue(0))
-    for x in xs:
-        gens = [MoebiusElement(x, -1, 1, 0), t3, t3w]
-        sub = Subgroup(f"P[{x}]", gens, bianchi_prism(d, x), x=x)
-        subgroups.append(sub)
-        if x.is_zero():
-            conjugators.append(None)
-            continue
+    for x in xs[1:]:
         delta = deltas_by_x[str(x)]
         # the lattice shift (js, jt) that moves delta's sphere into the cell
         cx, cy, side = cell_coords(prism0,
@@ -838,8 +819,6 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
                               sorted(union, key=trace_sort_key)}
     except StateExplosion as exc:
         coverage_note = f"StateExplosion: {exc}"
-    except PrecisionExhausted as exc:
-        coverage_note = f"PrecisionExhausted: {exc}"
 
     failed = [c for c in lemma_results + containment if c.status == "fail"]
     if separation is not None:

@@ -688,11 +688,7 @@ def _interval_margin(da, dai, x, y):
             r = sqrt_qv(disk.radius_sq)
             vals.append(disk.center - r - x)
             vals.append(y - disk.center - r)
-        worst = vals[0]
-        for v in vals[1:]:
-            if v.cmp_real(worst) < 0:
-                worst = v
-        return worst
+        return min(vals)
     except MixedRadicand:
         return None
 
@@ -720,10 +716,6 @@ def _segment_norm4(wu: int, wv: int, eu: int, ev: int, d: int,
     if clamp and b2 >= 2 * qe:
         return Fraction(omega_norm4(wu - eu, wv - ev, d))
     return Fraction(4 * qw * qe - b2 * b2, 4 * qe)
-
-
-def point_prism_dist_sq(z: QuadValue, prism: PrismDomain) -> Fraction:
-    return _prism_dist_sq(prism, *omega_ints(z, prism.d))
 
 
 _WIDE_OFFSETS = [(j, k) for j in range(-2, 3) for k in range(-2, 3)]

@@ -98,9 +98,6 @@ class MoebiusElement:
             k >>= 1
         return result
 
-    def conjugate_by(self, g: MoebiusElement) -> MoebiusElement:
-        return g * self * g.inv()
-
     # -- traces and classification ----------------------------------------
 
     def trace(self) -> QuadValue:

@@ -9,7 +9,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from fordlab.exactnum import MixedRadicand, QuadValue, qv
-from fordlab.moebius import bianchi_omega, canonicalize_trace, omega_ints
+from fordlab.moebius import (
+    canonicalize_trace,
+    omega_ints,
+    omega_norm4,
+    omega_value,
+)
 
 __all__ = [
     "EnumerationResult",
@@ -111,6 +116,17 @@ def unit_residue_traces(n: int) -> set[int]:
     return out
 
 
+def _integer_classes(model: TraceSetModel) -> tuple[int, set[int]]:
+    """The model's rational-integer traces as (N, R): the k >= 0 with
+    k mod N in R."""
+    n = model.param
+    if model.kind == "modular":
+        return 1, {0}
+    if model.kind == "principal":
+        return n * n, {2 % (n * n), -2 % (n * n)}
+    return n, unit_residue_traces(n)
+
+
 def expected_set(model: TraceSetModel, bound) -> set[QuadValue]:
     """Finite truncation of the model's trace set.
 
@@ -121,41 +137,25 @@ def expected_set(model: TraceSetModel, bound) -> set[QuadValue]:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     kind, n = model.kind, model.param
-    bf = bound.numerator // bound.denominator
-    if kind == "modular":
-        return {QuadValue(k) for k in range(bf + 1)}
-    if kind == "gamma0":
-        res = unit_residue_traces(n)
-        return {QuadValue(k) for k in range(bf + 1) if k % n in res}
-    if kind == "principal":
+    num, den = bound.numerator, bound.denominator
+    if kind == "bianchi":
+        # every canonical ring integer u + v*omega with |t|^2 <= bound; the
+        # grid holds them all, as d*v^2 <= 4|t|^2 and |u| <= |t| + |v|/2
         out = set()
-        a = 0
-        while True:
-            lo, hi = a * n * n - 2, a * n * n + 2
-            if lo > bf:
-                break
-            for t in (abs(lo), hi):
-                if t <= bf:
-                    out.add(QuadValue(t))
-            a += 1
+        vmax = isqrt(4 * num // (n * den))
+        for v in range(-vmax, vmax + 1):
+            umax = isqrt(num // den) + 1 + abs(v)
+            for u in range(-umax, umax + 1):
+                if omega_norm4(u, v, n) * den <= 4 * num:
+                    out.add(canonicalize_trace(omega_value(u, v, 1, n)))
         return out
+    modulus, residues = _integer_classes(model)
+    out = {QuadValue(k) for k in range(num // den + 1)
+           if k % modulus in residues}
     if kind == "normalizer":
-        out = expected_set(TraceSetModel("gamma0", n), bound)
-        m = 0
-        while m * m * n <= bound * bound:
-            out.add(QuadValue(0, m, n))
-            m += 1
-        return out
-    # bianchi: every canonical ring integer with |t|^2 <= bound
-    omega = bianchi_omega(n)
-    out = set()
-    vmax = isqrt(int(4 * bound // n)) + 2
-    for v in range(-vmax, vmax + 1):
-        umax = isqrt(int(bound)) + abs(v) * (isqrt(n) + 1) + 2
-        for u in range(-umax, umax + 1):
-            t = QuadValue(u) + omega * v
-            if t.abs2() <= bound:
-                out.add(canonicalize_trace(t))
+        # m*sqrt(p) for m >= 0 with m^2 p <= bound^2
+        mmax = isqrt(num * num // (n * den * den))
+        out.update(QuadValue(0, m, n) for m in range(mmax + 1))
     return out
 
 
@@ -163,27 +163,19 @@ def model_contains(model: TraceSetModel, t: QuadValue) -> bool:
     """Exact membership of a canonical trace in the untruncated model."""
     t = canonicalize_trace(qv(t))
     kind, n = model.kind, model.param
-    if kind == "modular":
-        return t.is_rational and t.a.denominator == 1 and t.a >= 0
-    if kind == "gamma0":
-        if not (t.is_rational and t.a.denominator == 1):
+    if kind == "bianchi":
+        try:
+            u, v, den = omega_ints(t, n)
+        except MixedRadicand:
             return False
-        return t.a.numerator % n in unit_residue_traces(n)
-    if kind == "principal":
-        if not (t.is_rational and t.a.denominator == 1):
-            return False
-        k = t.a.numerator
-        return (k - 2) % (n * n) == 0 or (k + 2) % (n * n) == 0
-    if kind == "normalizer":
-        if t.is_rational:
-            # zero arises as 0*sqrt(p), the trace of the adjoined involutions
-            return t.a == 0 or model_contains(TraceSetModel("gamma0", n), t)
-        return t.m == n and t.a == 0 and t.b.denominator == 1
-    try:
-        u, v, den = omega_ints(t, n)
-    except MixedRadicand:
+        return u % den == 0 and v % den == 0
+    if kind == "normalizer" and t.a == 0 and (t.is_rational or t.m == n):
+        # m*sqrt(p), zero included: the traces of the adjoined involutions
+        return t.b.denominator == 1
+    if not (t.is_rational and t.a.denominator == 1):
         return False
-    return u % den == 0 and v % den == 0
+    modulus, residues = _integer_classes(model)
+    return t.a.numerator % modulus in residues
 
 
 def enumerate_traces(gens, max_word_len: int, trace_bound,

@@ -25,6 +25,9 @@ from fordlab.constructions import UnsupportedParameter
 from fordlab.exactnum import qv_parse
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def run(argv):
     return main(argv)
 
@@ -142,6 +145,36 @@ def test_traces_command(tmp_path, capsys):
     assert run(["traces", str(gens)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("max_word", ["1", "2"])
+def test_traces_over_two_rings_is_a_data_error(tmp_path, capsys, max_word):
+    gens = tmp_path / "g.txt"
+    gens.write_text("[[1,1*sqrt(2)],[0,1]]\n[[1,0],[1*sqrt(3),1]]\n")
+    assert run(["traces", str(gens), "--max-word", max_word]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: generators span the quadratic rings of "
+                            "sqrt(2) and sqrt(3)\n")
+
+
+def test_short_workloads_match_golden(tmp_path, monkeypatch, capsys):
+    """Each short verify config of the benchmark reproduces its golden
+    record: verdict, exit code, checks with margins and the trace set."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import oracle
+    import workloads
+
+    golden = oracle.load_golden()
+    path = tmp_path / "report.json"
+    configs = [c for name in workloads.VERIFY
+               for c in workloads.verify_targets(name, "short")]
+    assert len(configs) == 6
+    for target, bound, max_word in configs:
+        code = main(workloads.verify_argv(target, bound, max_word, path))
+        report = json.loads(path.read_text(encoding="utf-8"))
+        assert (oracle.golden_record(report, code)
+                == golden[oracle.golden_key(target, bound, max_word)]), target
+
+
 def test_traces_deterministic_bytes(tmp_path):
     gens = tmp_path / "g.txt"
     gens.write_text("[[1,-1],[1,0]]\n[[1,5],[0,1]]\n")
@@ -246,6 +279,23 @@ def test_render_empty_generator_file(tmp_path):
 def test_render_io_error(tmp_path):
     assert run(["render", "--target", "principal:2",
                 "--out", str(tmp_path / "no_dir" / "x.svg")]) == 74
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--target", "principal:2", "--bound", "5", "--max-word", "2",
+     "--report", "BAD"],
+    ["verify", "--target", "principal:2", "--bound", "5", "--max-word", "2",
+     "--report", "OK", "--svg", "BAD"],
+    ["traces", "GENS", "--max-word", "2", "--out", "BAD"],
+], ids=["verify-report", "verify-svg", "traces-out"])
+def test_unwritable_output_is_io_error(tmp_path, capsys, argv):
+    gens = tmp_path / "g.txt"
+    gens.write_text("[[1,1],[0,1]]\n")
+    paths = {"BAD": str(tmp_path / "no_dir" / "x"), "OK": str(tmp_path / "r.json"),
+             "GENS": str(gens)}
+    assert run([paths.get(a, a) for a in argv]) == 74
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("i/o error: ")
 
 
 def test_margin_fault_is_not_verified(monkeypatch, capsys):

@@ -244,3 +244,18 @@ def test_normalizer_searches_conjugators_once(monkeypatch, p):
     monkeypatch.setattr(fordlab.constructions, "_attach_conjugators", spy)
     build("normalizer", p)
     assert calls == ["normalizer"]
+
+
+@pytest.mark.parametrize("d", [3, 19])
+def test_bianchi_build_makes_one_prism_per_coset(monkeypatch, d):
+    calls = []
+    prism = fordlab.constructions.bianchi_prism
+
+    def spy(ring, x):
+        calls.append(x)
+        return prism(ring, x)
+
+    monkeypatch.setattr(fordlab.constructions, "bianchi_prism", spy)
+    c = build("bianchi", d)
+    assert calls == bianchi_x_values(d)
+    assert c.prism is c.subgroups[0].domain

@@ -25,7 +25,6 @@ from fordlab.geometry import (
     infinite_area_height,
     isometric_disk,
     membership_reduce,
-    point_prism_dist_sq,
     power_sphere_scan,
     separation_margin,
     sphere_translates_meeting_prism,
@@ -34,6 +33,7 @@ from fordlab.geometry import (
     _interval_margin,
     _lattice_translates,
     _ball_in_prism_domain,
+    _prism_dist_sq,
     _linear_sphere_margin,
     _separation_expr,
     _spheres_apart,
@@ -269,9 +269,9 @@ def _prism(d):
 def test_prism_geometry():
     prism = _prism(5)
     om = bianchi_omega(5)
-    assert point_prism_dist_sq(QuadValue(1) + om, prism) == 0
+    assert _prism_dist_sq(prism, *omega_ints(QuadValue(1) + om, 5)) == 0
     far = QuadValue(20) + om * 9
-    assert point_prism_dist_sq(far, prism) > 0
+    assert _prism_dist_sq(prism, *omega_ints(far, 5)) > 0
     centers = sphere_translates_meeting_prism(prism, [QuadValue(0)])
     assert QuadValue(0) in centers and QuadValue(3) in centers
 
@@ -580,7 +580,7 @@ def _seed_ball_in_prism_domain(disk, prism):
 
 
 def _seed_point_prism_dist_sq(z, prism):
-    """The QuadValue form of point_prism_dist_sq: the nearest point of each
+    """The QuadValue form of _prism_dist_sq: the nearest point of each
     edge by a clamped projection."""
     s, t = _seed_lattice_coords(prism, z)
     if 0 <= s <= 1 and 0 <= t <= 1:
@@ -642,7 +642,8 @@ def test_prism_predicates_on_integers_match_quadvalue_forms(d, anchor, points,
     t1, t2 = _seed_cell(prism)
     zs = [prism.anchor + t1 * s + t2 * t for s, t in points]
     for z in zs:
-        assert point_prism_dist_sq(z, prism) == _seed_point_prism_dist_sq(z, prism)
+        assert (_prism_dist_sq(prism, *omega_ints(z, d))
+                == _seed_point_prism_dist_sq(z, prism))
         assert [omega_value(*c, d) for c in _lattice_translates(prism, z)] \
             == _seed_translates(prism, z)
     got = sphere_translates_meeting_prism(prism, zs, radius_sq)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -22,8 +23,15 @@ from fordlab._bfs import (
     _widen,
     _within,
 )
-from fordlab.exactnum import QuadValue
-from fordlab.moebius import MoebiusElement, bianchi_omega, from_ints, identity
+from fordlab.exactnum import MixedRadicand, QuadValue
+from fordlab.moebius import (
+    MoebiusElement,
+    bianchi_omega,
+    canonicalize_trace,
+    from_ints,
+    identity,
+    omega_ints,
+)
 from fordlab.tracesets import (
     DEFAULT_STATE_CAP,
     NotHyperbolic,
@@ -83,6 +91,99 @@ def test_model_contains():
     assert not model_contains(TraceSetModel("principal", 3), QuadValue(24))
     assert model_contains(TraceSetModel("normalizer", 5), QuadValue(0, 3, 5))
     assert model_contains(TraceSetModel("bianchi", 3), bianchi_omega(3) * 2)
+
+
+def _former_expected_set(model, bound):
+    """expected_set as each model stated it before the residue classes."""
+    bound = Fraction(bound)
+    kind, n = model.kind, model.param
+    bf = bound.numerator // bound.denominator
+    if kind == "modular":
+        return {QuadValue(k) for k in range(bf + 1)}
+    if kind == "gamma0":
+        res = unit_residue_traces(n)
+        return {QuadValue(k) for k in range(bf + 1) if k % n in res}
+    if kind == "principal":
+        out = set()
+        a = 0
+        while True:
+            lo, hi = a * n * n - 2, a * n * n + 2
+            if lo > bf:
+                break
+            for t in (abs(lo), hi):
+                if t <= bf:
+                    out.add(QuadValue(t))
+            a += 1
+        return out
+    if kind == "normalizer":
+        out = _former_expected_set(TraceSetModel("gamma0", n), bound)
+        m = 0
+        while m * m * n <= bound * bound:
+            out.add(QuadValue(0, m, n))
+            m += 1
+        return out
+    omega = bianchi_omega(n)
+    out = set()
+    vmax = isqrt(int(4 * bound // n)) + 2
+    for v in range(-vmax, vmax + 1):
+        umax = isqrt(int(bound)) + abs(v) * (isqrt(n) + 1) + 2
+        for u in range(-umax, umax + 1):
+            t = QuadValue(u) + omega * v
+            if t.abs2() <= bound:
+                out.add(canonicalize_trace(t))
+    return out
+
+
+def _former_model_contains(model, t):
+    """model_contains as each model stated it before the residue classes."""
+    t = canonicalize_trace(t)
+    kind, n = model.kind, model.param
+    integral = t.is_rational and t.a.denominator == 1
+    if kind == "modular":
+        return integral and t.a >= 0
+    if kind == "gamma0":
+        return integral and t.a.numerator % n in unit_residue_traces(n)
+    if kind == "principal":
+        k = t.a.numerator
+        return integral and ((k - 2) % (n * n) == 0 or (k + 2) % (n * n) == 0)
+    if kind == "normalizer":
+        if t.is_rational:
+            return t.a == 0 or _former_model_contains(TraceSetModel("gamma0", n), t)
+        return t.m == n and t.a == 0 and t.b.denominator == 1
+    try:
+        u, v, den = omega_ints(t, n)
+    except MixedRadicand:
+        return False
+    return u % den == 0 and v % den == 0
+
+
+_FORMER_MODELS = (
+    [TraceSetModel("modular")]
+    + [TraceSetModel("gamma0", n) for n in range(1, 31)]
+    + [TraceSetModel("principal", n) for n in range(1, 17)]
+    + [TraceSetModel("normalizer", p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+    + [TraceSetModel("bianchi", d) for d in (1, 2, 3, 7, 19, 67)])
+_HALF = Fraction(1, 2)
+_IRRATIONAL_PROBES = (
+    [QuadValue(a, b, m) for m in (2, 3, 5, 7, 23) for a in (0, 1, -3, _HALF)
+     for b in (1, -2, 3, _HALF)]
+    + [QuadValue(a, b, -d) for d in (1, 2, 3, 7, 19, 67) for a in (0, 2, _HALF)
+       for b in (1, -1, _HALF, Fraction(3, 2))])
+
+
+def test_models_match_former_formulas():
+    rational = [QuadValue(k) for k in range(-50, 51)] + [
+        QuadValue(Fraction(k, 3)) for k in range(-10, 11)]
+    checked = 0
+    for model in _FORMER_MODELS:
+        for bound in (0, 1, Fraction(7, 2), 10, 40):
+            got = expected_set(model, bound)
+            assert got == _former_expected_set(model, bound), (model, bound)
+        for t in sorted(got | set(rational) | set(_IRRATIONAL_PROBES), key=str):
+            assert model_contains(model, t) == _former_model_contains(model, t), \
+                (model, t)
+            checked += 1
+    assert checked > 10_000
 
 
 def test_models_validate_parameters():
@@ -279,11 +380,21 @@ def test_unproven_real_quadratic_sets_use_generic_kernel(gens):
     assert isinstance(_make_codec(gens, Fraction(30)), _ExactCodec)
 
 
-def test_two_imaginary_rings_use_exact_codec_with_modulus():
-    gens = [MoebiusElement(bianchi_omega(1), -1, 1, 0),
-            MoebiusElement(bianchi_omega(3), -1, 1, 0)]
-    codec = _make_codec(gens, Fraction(20))
-    assert isinstance(codec, _ExactCodec) and codec.modulus is True
+def test_generators_over_two_rings_raise_mixed_radicand():
+    # no product of entries from two quadratic rings exists, so the search
+    # refuses such a set at every word length, the first included
+    pairs = [
+        ([MoebiusElement(bianchi_omega(1), -1, 1, 0),
+          MoebiusElement(bianchi_omega(3), -1, 1, 0)], r"sqrt\(-3\) and sqrt\(-1\)"),
+        ([MoebiusElement(1, QuadValue(0, 1, 2), 0, 1),
+          MoebiusElement(1, 0, QuadValue(0, 1, 3), 1)], r"sqrt\(2\) and sqrt\(3\)"),
+    ]
+    for gens, rings in pairs:
+        with pytest.raises(MixedRadicand, match=rings):
+            _make_codec(gens, Fraction(20))
+        for max_len in (1, 2):
+            with pytest.raises(MixedRadicand):
+                enumerate_traces(gens, max_len, 20)
 
 
 def test_pair_kernel_matches_generic_small():
