@@ -34,7 +34,6 @@ from fordlab.geometry import (
     LemmaViolation,
     Membership,
     PrismDomain,
-    SeparationReport,
     StripDomain,
     bianchi_separation_check,
     build_ford_two_gen,

@@ -484,7 +484,7 @@ class _ExactCodec:
 
     def trace_key(self, state):
         t = state[1].canonical_trace()
-        if self.modulus or not t.is_real:
+        if self.modulus:
             ok = t.abs2() <= self.bound
         else:
             ok = abs(t) <= QuadValue(self.bound)

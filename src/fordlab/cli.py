@@ -90,14 +90,6 @@ def _check_to_json(check):
 
 def certificate_report(cert: Certificate, bound, elapsed: float,
                        normalize_timings: bool = False) -> dict:
-    checks = []
-    checks.extend(_check_to_json(c) for c in cert.lemma_results)
-    if cert.separation is not None:
-        checks.extend(_check_to_json(c) for c in cert.separation.checks)
-    for label, h in cert.heights:
-        checks.append({"name": f"infinite_area_height[{label}]",
-                       "status": "pass", "margin": qv_format(h)})
-    checks.extend(_check_to_json(c) for c in cert.containment)
     coverage = {
         "bound": qv_format(QuadValue(Fraction(bound))),
         "missing": [qv_format(t) for t in (cert.coverage.missing if cert.coverage else [])],
@@ -113,7 +105,7 @@ def certificate_report(cert: Certificate, bound, elapsed: float,
         "schema_version": SCHEMA_VERSION,
         "target": target,
         "verdict": cert.verdict,
-        "checks": checks,
+        "checks": [_check_to_json(c) for c in cert.checks],
         "coverage": coverage,
         "timings": {"total_s": 0.0 if normalize_timings else round(elapsed, 6)},
     }
@@ -316,7 +308,7 @@ def cmd_verify(args) -> int:
     elapsed = time.monotonic() - started
     report = certificate_report(cert, bound, elapsed,
                                 normalize_timings=args.normalize_timings)
-    if not _emit(args.report or None, dump_report(report)):
+    if not _emit(args.report, dump_report(report)):
         return EXIT_IO
     if args.svg and not _emit(args.svg, render_construction_svg(construction)):
         return EXIT_IO
@@ -358,7 +350,7 @@ def cmd_traces(args) -> int:
              for t, word in sorted(result.traces.items(),
                                    key=lambda kv: trace_sort_key(kv[0]))]
     text = "\n".join(lines) + ("\n" if lines else "")
-    return EXIT_VERIFIED if _emit(args.out or None, text) else EXIT_IO
+    return EXIT_VERIFIED if _emit(args.out, text) else EXIT_IO
 
 
 def cmd_render(args) -> int:
@@ -391,6 +383,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
+def _out_path(text: str) -> str:
+    """An output path option's value: any path but the empty one."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fordlab",
@@ -407,8 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-word", type=int, default=None,
                           help="word length (default 12, bianchi 8)")
     p_verify.add_argument("--horizon", type=int, default=50)
-    p_verify.add_argument("--report", default=None)
-    p_verify.add_argument("--svg", default=None)
+    p_verify.add_argument("--report", type=_out_path, default=None)
+    p_verify.add_argument("--svg", type=_out_path, default=None)
     p_verify.add_argument("--normalize-timings", action="store_true")
     p_verify.add_argument("--state-cap", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
@@ -417,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_traces.add_argument("gens", help="file with one matrix per line")
     p_traces.add_argument("--max-word", type=int, default=8)
     p_traces.add_argument("--bound", default="50")
-    p_traces.add_argument("--out", default=None)
+    p_traces.add_argument("--out", type=_out_path, default=None)
     p_traces.add_argument("--state-cap", type=int, default=None)
     p_traces.set_defaults(func=cmd_traces)
 
@@ -425,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_render.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", default=None)
     group.add_argument("--gens", default=None)
-    p_render.add_argument("--out", required=True)
+    p_render.add_argument("--out", type=_out_path, required=True)
     p_render.set_defaults(func=cmd_render)
     return parser
 

@@ -17,13 +17,11 @@ from fordlab.geometry import (
     CheckRecord,
     LemmaViolation,
     PrismDomain,
-    SeparationReport,
     StripDomain,
     _rational_point_in,
     bianchi_separation_check,
     build_ford_two_gen,
     cell_coords,
-    disk_within_interval,
     infinite_area_height,
     isometric_disk,
     sphere_translates_meeting_prism,
@@ -110,10 +108,7 @@ class Construction:
 @dataclass
 class Certificate:
     construction: Construction
-    lemma_results: list
-    separation: SeparationReport | None
-    heights: list
-    containment: list
+    checks: list                    # CheckRecords, in report order
     coverage: Coverage | None
     coverage_note: str | None
     enumeration_stats: dict
@@ -360,15 +355,6 @@ def plan_intervals(domains):
 
 
 # -- conjugator search ---------------------------------------------------------------
-
-
-def conjugator_postcondition(alpha: MoebiusElement, interval) -> bool:
-    """Disk pair of alpha has closed real extent strictly inside (x, y)."""
-    if alpha.c.is_zero():
-        return False
-    x, y = qv(interval[0]), qv(interval[1])
-    return (disk_within_interval(isometric_disk(alpha), x, y)
-            and disk_within_interval(isometric_disk(alpha.inv()), x, y))
 
 
 def _int_disks_fit(a: int, b: int, c: int, d: int,
@@ -720,41 +706,34 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
                         state_cap: int | None = None) -> Certificate:
     """Run every exact check for a construction and assemble the verdict."""
     bound = Fraction(bound)
-    lemma_results: list[CheckRecord] = []
+    checks: list[CheckRecord] = []
     reasons: list[str] = []
-    heights = []
     is_bianchi = construction.target == "bianchi"
 
     for sub in construction.subgroups:
         if is_bianchi:
-            lemma_results.append(CheckRecord(
+            checks.append(CheckRecord(
                 f"prism_domain[{sub.label}]", "pass",
                 witnesses={"spheres": len(sub.domain.excluded)}))
-        else:
-            try:
-                m, g2 = _split_two_gen(sub.gens)
-                fresh = build_ford_two_gen(m, g2)
-                lemma_results.append(CheckRecord(
-                    f"two_gen_domain[{sub.label}]", "pass",
-                    witnesses={"variant": fresh.variant}))
-            except LemmaViolation as exc:
-                lemma_results.append(CheckRecord(
-                    f"two_gen_domain[{sub.label}]", "fail",
-                    witnesses={"inequality": exc.detail}))
-                reasons.append(f"LemmaViolation[{sub.label}]: {exc.detail}")
-        if sub.domain is not None:
-            heights.append((sub.label, infinite_area_height(sub.domain)))
+            continue
+        try:
+            m, g2 = _split_two_gen(sub.gens)
+            fresh = build_ford_two_gen(m, g2)
+            checks.append(CheckRecord(
+                f"two_gen_domain[{sub.label}]", "pass",
+                witnesses={"variant": fresh.variant}))
+        except LemmaViolation as exc:
+            checks.append(CheckRecord(
+                f"two_gen_domain[{sub.label}]", "fail",
+                witnesses={"inequality": exc.detail}))
+            reasons.append(f"LemmaViolation[{sub.label}]: {exc.detail}")
 
     if is_bianchi:
-        lemma_results.append(coset_cover_check(construction.param))
-
-    separation = None
-    if is_bianchi:
+        checks.append(coset_cover_check(construction.param))
         items = [(sub.x, sub.gens, alpha) for sub, alpha in
                  zip(construction.subgroups, construction.conjugators)]
-        separation = bianchi_separation_check(construction.param, items,
-                                              construction.prism,
-                                              horizon=horizon)
+        checks += bianchi_separation_check(construction.param, items,
+                                           construction.prism, horizon=horizon)
     else:
         present = [alpha for alpha in construction.conjugators if alpha is not None]
         if len(present) == len(construction.subgroups):
@@ -762,25 +741,27 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
                      for sub, alpha, interval in zip(construction.subgroups,
                                                      construction.conjugators,
                                                      construction.intervals)]
-            separation = verify_separation(items, construction.ambient_check,
-                                           construction.ambient_name)
+            checks += verify_separation(items, construction.ambient_check,
+                                        construction.ambient_name)
         elif not present and len(construction.subgroups) == 1:
-            separation = SeparationReport([CheckRecord(
-                "combination_not_required", "pass",
-                witnesses={"subgroups": 1})])
+            checks.append(CheckRecord("combination_not_required", "pass",
+                                      witnesses={"subgroups": 1}))
         else:
-            separation = SeparationReport([CheckRecord(
+            checks.append(CheckRecord(
                 "conjugator_search", "undecided",
                 witnesses={"reason": "SearchExhausted",
-                           "notes": list(construction.notes)})])
+                           "notes": list(construction.notes)}))
 
-    containment: list[CheckRecord] = []
+    checks.extend(CheckRecord(f"infinite_area_height[{sub.label}]", "pass",
+                              margin=infinite_area_height(sub.domain))
+                  for sub in construction.subgroups if sub.domain is not None)
+
     for idx, g in enumerate(construction.combined_gens):
         ok = construction.ambient_check(g)
-        containment.append(CheckRecord(f"ambient_membership[{idx}]",
-                                       "pass" if ok else "fail"))
+        checks.append(CheckRecord(f"ambient_membership[{idx}]",
+                                  "pass" if ok else "fail"))
         t = g.canonical_trace()
-        containment.append(CheckRecord(
+        checks.append(CheckRecord(
             f"generator_trace_in_model[{idx}]",
             "pass" if model_contains(construction.model, t) else "fail",
             witnesses={"trace": str(t)}))
@@ -790,7 +771,7 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
             expect = g if alpha is None else alpha * g * alpha.inv()
             stored = (construction.combined_gens[pos]
                       if pos < len(construction.combined_gens) else None)
-            containment.append(CheckRecord(
+            checks.append(CheckRecord(
                 f"conjugate_roundtrip[{sub.label}:{j}]",
                 "pass" if stored == expect else "fail"))
             pos += 1
@@ -820,27 +801,22 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
     except StateExplosion as exc:
         coverage_note = f"StateExplosion: {exc}"
 
-    failed = [c for c in lemma_results + containment if c.status == "fail"]
-    if separation is not None:
-        failed += [c for c in separation.checks if c.status == "fail"]
-    undecided = [c for c in (lemma_results + containment) if c.status == "undecided"]
-    if separation is not None:
-        undecided += [c for c in separation.checks if c.status == "undecided"]
+    failed = [c.name for c in checks if c.status == "fail"]
+    undecided = [c.name for c in checks if c.status == "undecided"]
 
     if coverage is not None and (coverage.missing or coverage.extra):
         reasons.append(f"coverage missing={len(coverage.missing)} "
                        f"extra={len(coverage.extra)}")
         verdict = "Failed"
     elif failed:
-        reasons.extend(c.name for c in failed)
+        reasons.extend(failed)
         verdict = "Failed"
     elif coverage_note or undecided:
-        reasons.extend(c.name for c in undecided)
+        reasons.extend(undecided)
         if coverage_note:
             reasons.append(coverage_note)
         verdict = "Undecided"
     else:
         verdict = "Verified"
-    return Certificate(construction, lemma_results, separation, heights,
-                       containment, coverage, coverage_note, stats, verdict,
-                       reasons)
+    return Certificate(construction, checks, coverage, coverage_note, stats,
+                       verdict, reasons)

@@ -57,22 +57,6 @@ class CheckRecord:
     witnesses: dict = field(default_factory=dict)
 
 
-@dataclass
-class SeparationReport:
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
-
-    @property
-    def undecided(self) -> bool:
-        return any(c.status == "undecided" for c in self.checks)
-
-    def failed_names(self):
-        return [c.name for c in self.checks if c.status != "pass"]
-
-
 def _real_sq(v: QuadValue) -> Fraction:
     """|v|^2 as a rational, for complex values or real values with a*b = 0."""
     v = qv(v)
@@ -133,7 +117,8 @@ def separation_margin(u: IsometricDisk, v: IsometricDisk) -> QuadValue:
     """Margin witness |Dcenter| - r_u - r_v, or its squared form.
 
     Returns a QuadValue whenever the quantities combine into one ring,
-    falling back to the squared margin |Dcenter|^2 - (r_u + r_v)^2.
+    falling back to the squared margin |Dcenter|^2 - (r_u + r_v)^2.  Either
+    form is positive exactly when disks_disjoint finds the disks disjoint.
     """
     gap2 = _center_gap_sq(u, v)
     try:
@@ -595,7 +580,7 @@ def _ball_in_prism_domain(u: IsometricDisk, prism: PrismDomain) -> bool:
 
 
 def verify_separation(items, ambient_check, ambient_name: str = "ambient",
-                      cap: int = 10000) -> SeparationReport:
+                      cap: int = 10000) -> list[CheckRecord]:
     """Exact verification of the conjugated-combination hypotheses.
 
     items: sequence of (domain, conjugator, (x, y) interval) triples.
@@ -666,19 +651,13 @@ def verify_separation(items, ambient_check, ambient_name: str = "ambient",
             j, db, dbi = disks[jj]
             left = [da] if da.same_circle(dai) else [da, dai]
             right = [db] if db.same_circle(dbi) else [db, dbi]
-            worst = None
-            ok = True
-            for u in left:
-                for v in right:
-                    if disks_disjoint(u, v) != Disjointness.DISJOINT:
-                        ok = False
-                    mg = separation_margin(u, v)
-                    if worst is None or (mg.is_real and worst.is_real
-                                         and mg.cmp_real(worst) < 0):
-                        worst = mg
+            # disjoint only when every pair's margin is positive: tangency
+            # (margin 0) fails
+            worst = min(separation_margin(u, v) for u in left for v in right)
             checks.append(CheckRecord(f"conjugator_disks_disjoint[{i},{j}]",
-                                      "pass" if ok else "fail", margin=worst))
-    return SeparationReport(checks)
+                                      "pass" if worst.sign_real() > 0 else "fail",
+                                      margin=worst))
+    return checks
 
 
 def _interval_margin(da, dai, x, y):
@@ -776,7 +755,7 @@ def _linear_sphere_margin(center_a, r2_a, center_b, r2_b):
 
 
 def bianchi_separation_check(d: int, items, prism: PrismDomain,
-                             horizon: int = 50) -> SeparationReport:
+                             horizon: int = 50) -> list[CheckRecord]:
     """Exact combination hypotheses for the half-space construction.
 
     items: sequence of (x, gens, conjugator-or-None).  Each conjugator must
@@ -882,4 +861,4 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
                                         dj.center, dj.radius_sq)
             checks.append(CheckRecord(f"delta_spheres_disjoint[{i},{j}]",
                                       "pass" if s > 0 else "fail", margin=lin))
-    return SeparationReport(checks)
+    return checks

@@ -199,33 +199,22 @@ def enumerate_traces(gens, max_word_len: int, trace_bound,
 @dataclass(frozen=True)
 class Coverage:
     missing: tuple
-    covered: tuple
     extra: tuple
-
-    @property
-    def complete(self) -> bool:
-        return not self.missing and not self.extra
 
 
 def trace_sort_key(t: QuadValue):
     return (t.a, t.b)
 
 
-def coverage_report(expected: set, enumerated) -> Coverage:
+def coverage_report(expected: set, enumerated: set) -> Coverage:
     """Set differences between a model truncation and an enumeration.
 
     A nonempty ``extra`` is always a hard failure: an enumerated trace
     outside the model contradicts the containment direction.
     """
-    if isinstance(enumerated, EnumerationResult):
-        got = set(enumerated.traces)
-    else:
-        got = set(enumerated)
-    expected = set(expected)
-    missing = sorted(expected - got, key=trace_sort_key)
-    covered = sorted(expected & got, key=trace_sort_key)
-    extra = sorted(got - expected, key=trace_sort_key)
-    return Coverage(tuple(missing), tuple(covered), tuple(extra))
+    missing = sorted(expected - enumerated, key=trace_sort_key)
+    extra = sorted(enumerated - expected, key=trace_sort_key)
+    return Coverage(tuple(missing), tuple(extra))
 
 
 def trace_to_length(t) -> float:

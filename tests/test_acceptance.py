@@ -117,8 +117,9 @@ def test_criterion_2_gamma0_family():
     started = time.monotonic()
     for n in range(2, 13):
         cert = verify_construction(build("gamma0", n), 60, GAMMA0_WORD_LEN[n])
-        for check in cert.lemma_results:
-            if check.status != "pass":
+        for check in cert.checks:
+            if (check.name.startswith("two_gen_domain[")
+                    and check.status != "pass"):
                 failures.append(f"n={n}: {check.name} {check.status}")
         if cert.coverage is None:
             failures.append(f"n={n}: no coverage ({cert.coverage_note})")
@@ -189,7 +190,8 @@ def test_criterion_3_lemma_special_cases():
                                             for r in naive.reasons):
         failures.append("naive level-2 subgroup did not raise a lemma violation")
     standard = verify_construction(build("principal", 2), 20, 6)
-    if not all(c.status == "pass" for c in standard.lemma_results):
+    lemma = [c for c in standard.checks if c.name.startswith("two_gen_domain[")]
+    if not lemma or not all(c.status == "pass" for c in lemma):
         failures.append("standard level-2 subgroup failed the lemma check")
     _report(3, "level-2 lemma special case", failures)
 
@@ -241,7 +243,7 @@ def test_criterion_5_bianchi():
     started = time.monotonic()
     for d in BIANCHI_REQUIRED:
         cert = verify_construction(build("bianchi", d), 40, 8)
-        checks = {c.name: c for c in cert.separation.checks}
+        checks = {c.name: c for c in cert.checks}
         for name, check in checks.items():
             if name.startswith("delta_involution") and check.status != "pass":
                 failures.append(f"d={d}: {name} {check.status}")
@@ -252,8 +254,7 @@ def test_criterion_5_bianchi():
                     failures.append(f"d={d}: {name} margin not positive")
             if name.startswith("delta_spheres_disjoint") and check.status != "pass":
                 failures.append(f"d={d}: {name} {check.status}")
-        lemma = {c.name: c for c in cert.lemma_results}
-        if lemma["coset_cover_mod_3"].status != "pass":
+        if checks["coset_cover_mod_3"].status != "pass":
             failures.append(f"d={d}: coset cover failed")
         if cert.coverage is None or cert.coverage.missing:
             failures.append(f"d={d}: coverage missing "
@@ -261,7 +262,7 @@ def test_criterion_5_bianchi():
         if d in BIANCHI_FULLY_VERIFIED and cert.verdict != "Verified":
             failures.append(f"d={d}: verdict {cert.verdict} ({cert.reasons[:3]})")
         if d == 3:
-            bad = [c.name for c in cert.separation.checks if c.status != "pass"]
+            bad = [c.name for c in cert.checks if c.status != "pass"]
             if not all(name.startswith("delta_clears_power_spheres")
                        for name in bad):
                 failures.append(f"d=3: unexpected failing checks {bad}")

@@ -298,6 +298,27 @@ def test_unwritable_output_is_io_error(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and err.startswith("i/o error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--target", "modular", "--report", ""],
+    ["verify", "--target", "modular", "--svg", ""],
+    ["traces", "GENS", "--out", ""],
+    ["render", "--target", "modular", "--out", ""],
+], ids=["verify-report", "verify-svg", "traces-out", "render-out"])
+def test_empty_output_path_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # rejected while parsing, before any construction or enumeration runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran for an empty output path")
+
+    monkeypatch.setattr(fordlab.cli, "build", no_work)
+    monkeypatch.setattr(fordlab.cli, "enumerate_traces", no_work)
+    gens = tmp_path / "g.txt"
+    gens.write_text("[[1,1],[0,1]]\n")
+    assert run([str(gens) if a == "GENS" else a for a in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_margin_fault_is_not_verified(monkeypatch, capsys):
     # a fault inside a margin must not drop the margin and still verify
     sqrt_qv = fordlab.geometry.sqrt_qv

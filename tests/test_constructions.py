@@ -6,7 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fordlab.exactnum import QuadValue
-from fordlab.geometry import Disjointness, disks_disjoint, isometric_disk
+from fordlab.geometry import (
+    Disjointness,
+    disk_within_interval,
+    disks_disjoint,
+    isometric_disk,
+)
 import fordlab.constructions
 from fordlab.moebius import bianchi_omega, from_ints, mm_format
 from fordlab.constructions import (
@@ -15,7 +20,6 @@ from fordlab.constructions import (
     bianchi_deltas,
     bianchi_x_values,
     build,
-    conjugator_postcondition,
     find_power_conjugator,
     gamma0_special_generators,
     gamma0_unit_pairs,
@@ -110,10 +114,12 @@ def test_build_rejects_bad_parameters():
 def test_find_power_conjugator_postconditions():
     alpha = find_power_conjugator(1, (Fraction(3), Fraction(4)),
                                   max_height=80, max_power=12)
-    assert conjugator_postcondition(alpha, (QuadValue(3), QuadValue(4)))
-    # the frozen involution also satisfies the postcondition on (3, 4)
-    assert conjugator_postcondition(from_ints(17, -58, 5, -17),
-                                    (QuadValue(3), QuadValue(4)))
+    # both disks of the found power, and of the frozen involution, lie
+    # strictly inside (3, 4)
+    for g in (alpha, from_ints(17, -58, 5, -17)):
+        for h in (g, g.inv()):
+            assert disk_within_interval(isometric_disk(h), QuadValue(3),
+                                        QuadValue(4))
 
 
 def test_find_power_conjugator_exhausts_tiny_interval():
@@ -135,7 +141,8 @@ def test_verify_naive_principal_2_fails_lemma():
 
 def test_verify_principal_2_standard_subgroup_passes_lemma():
     cert = verify_construction(build("principal", 2), 30, 8)
-    assert all(c.status == "pass" for c in cert.lemma_results)
+    lemma = [c for c in cert.checks if c.name.startswith("two_gen_domain[")]
+    assert lemma and all(c.status == "pass" for c in lemma)
 
 
 def test_verify_bianchi_19():

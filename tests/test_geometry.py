@@ -233,32 +233,53 @@ def test_fixed_point_containment_complex():
     assert not disk_contains_fixed_point(g, far)
 
 
+def _unpassed(checks):
+    """The names of the checks that do not pass."""
+    return [c.name for c in checks if c.status != "pass"]
+
+
 def test_verify_separation_modular_data():
     domains = [modular_strip(S), modular_strip(G1), modular_strip(G2)]
     conjugators = [ALPHA0, ALPHA1, ALPHA2]
     from fordlab.constructions import pad_intervals
     intervals = pad_intervals(domains, conjugators)
     items = list(zip(domains, conjugators, intervals))
-    report = verify_separation(items, in_pslz, "PSL2(Z)")
-    assert report.passed, report.failed_names()
+    checks = verify_separation(items, in_pslz, "PSL2(Z)")
+    assert not _unpassed(checks)
 
 
 def test_verify_separation_degenerate_conjugator():
     domains = [modular_strip(S)]
     items = [(domains[0], from_ints(1, 1, 0, 1), (QuadValue(3), QuadValue(4)))]
-    report = verify_separation(items, in_pslz)
-    assert not report.passed
+    checks = verify_separation(items, in_pslz)
+    assert _unpassed(checks)
     assert any("conjugator_disks" in c.name and c.status == "fail"
-               for c in report.checks)
+               for c in checks)
 
 
 def test_verify_separation_equal_intervals_fail():
     domains = [modular_strip(S), modular_strip(G1)]
     iv = (QuadValue(3), QuadValue(4))
     items = [(domains[0], ALPHA0, iv), (domains[1], ALPHA1, iv)]
-    report = verify_separation(items, in_pslz)
+    checks = verify_separation(items, in_pslz)
     assert any(c.name.startswith("intervals_disjoint") and c.status == "fail"
-               for c in report.checks)
+               for c in checks)
+
+
+@pytest.mark.parametrize("alpha1, margin", [
+    (from_ints(5, -26, 1, -5), 0),    # unit disks at 3 and 5 touch at 4
+    (from_ints(4, -17, 1, -4), -1),   # unit disks at 3 and 4 overlap
+], ids=["tangent", "overlap"])
+def test_conjugator_disks_disjoint_status_is_margin_sign(alpha1, margin):
+    # tangency, margin exactly 0, fails like an overlap
+    alpha0 = from_ints(3, -10, 1, -3)
+    domain = modular_strip(S)
+    items = [(domain, alpha0, (QuadValue(2), QuadValue(4))),
+             (domain, alpha1, (QuadValue(4), QuadValue(6)))]
+    checks = {c.name: c for c in verify_separation(items, in_pslz)}
+    check = checks["conjugator_disks_disjoint[0,1]"]
+    assert check.status == "fail"
+    assert check.margin == QuadValue(margin)
 
 
 def _prism(d):
@@ -294,8 +315,8 @@ def test_bianchi_separation_d5_passes():
     c = build("bianchi", 5)
     items = [(sub.x, sub.gens, alpha)
              for sub, alpha in zip(c.subgroups, c.conjugators)]
-    report = bianchi_separation_check(5, items, c.prism, horizon=30)
-    assert report.passed, report.failed_names()
+    checks = bianchi_separation_check(5, items, c.prism, horizon=30)
+    assert not _unpassed(checks)
 
 
 def test_bianchi_separation_d3_family_set_diagnostic():
@@ -317,9 +338,9 @@ def test_bianchi_separation_d3_family_set_diagnostic():
     for sub in c.subgroups:
         delta = None if sub.x.is_zero() else family[str(sub.x)]
         items.append((sub.x, sub.gens, delta))
-    report = bianchi_separation_check(3, items, c.prism, horizon=20)
-    assert isinstance(report.checks[0], CheckRecord)
-    assert not report.passed
+    checks = bianchi_separation_check(3, items, c.prism, horizon=20)
+    assert isinstance(checks[0], CheckRecord)
+    assert _unpassed(checks)
 
 
 def test_degenerate_delta_with_nonzero_trace_fails():
@@ -330,9 +351,9 @@ def test_degenerate_delta_with_nonzero_trace_fails():
     for sub in c.subgroups:
         delta = None if sub.x.is_zero() else from_ints(2, -1, 1, 0)
         items.append((sub.x, sub.gens, delta))
-    report = bianchi_separation_check(5, items, c.prism, horizon=10)
+    checks = bianchi_separation_check(5, items, c.prism, horizon=10)
     assert any(c_.name.startswith("delta_involution") and c_.status == "fail"
-               for c_ in report.checks)
+               for c_ in checks)
 
 
 def test_circle_mapping_identity_random():

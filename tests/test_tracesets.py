@@ -989,7 +989,7 @@ def test_state_cap_env_override(monkeypatch):
 def test_coverage_report():
     cov = coverage_report({QuadValue(0), QuadValue(2)},
                           {QuadValue(0), QuadValue(2)})
-    assert cov.missing == () and cov.extra == () and cov.complete
+    assert cov.missing == () and cov.extra == ()
 
 
 def test_coverage_direction_gamma0_6():
