@@ -7,7 +7,6 @@ from fordlab.exactnum import (
     PrecisionExhausted,
     QuadValue,
     RadicalExpr,
-    Rational,
     qv,
     qv_format,
     qv_parse,
@@ -37,7 +36,6 @@ from fordlab.geometry import (
     StripDomain,
     bianchi_separation_check,
     build_ford_two_gen,
-    disk_in_domain,
     disks_disjoint,
     infinite_area_height,
     isometric_disk,

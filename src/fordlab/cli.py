@@ -30,8 +30,8 @@ from fordlab.moebius import (
     parse_generator_file,
 )
 from fordlab.tracesets import (
+    DEFAULT_STATE_CAP,
     StateExplosion,
-    default_state_cap,
     enumerate_traces,
     trace_sort_key,
 )
@@ -234,7 +234,7 @@ def render_construction_svg(construction) -> str:
         conj.append((isometric_disk(alpha), mm_format(alpha)))
         conj.append((isometric_disk(alpha.inv()), mm_format(alpha)))
     if construction.target == "bianchi":
-        return render_prism_svg(construction.prism, conj)
+        return render_prism_svg(construction.subgroups[0].domain, conj)
     domains = [s.domain for s in construction.subgroups if s.domain is not None]
     intervals = [iv for iv in construction.intervals if iv is not None]
     return render_strip_svg(domains, conj, intervals)
@@ -270,8 +270,6 @@ def _search_args(args, default_bound):
         value = getattr(args, name)
         if value is not None and value < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
-    if args.state_cap is None:
-        return bound, default_state_cap()
     return bound, args.state_cap
 
 
@@ -304,7 +302,7 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     started = time.monotonic()
     cert = verify_construction(construction, bound, max_word,
-                               horizon=args.horizon, state_cap=state_cap)
+                               state_cap=state_cap)
     elapsed = time.monotonic() - started
     report = certificate_report(cert, bound, elapsed,
                                 normalize_timings=args.normalize_timings)
@@ -405,11 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="trace bound (|t|, or |t|^2 for bianchi)")
     p_verify.add_argument("--max-word", type=int, default=None,
                           help="word length (default 12, bianchi 8)")
-    p_verify.add_argument("--horizon", type=int, default=50)
     p_verify.add_argument("--report", type=_out_path, default=None)
     p_verify.add_argument("--svg", type=_out_path, default=None)
     p_verify.add_argument("--normalize-timings", action="store_true")
-    p_verify.add_argument("--state-cap", type=int, default=None)
+    p_verify.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p_verify.set_defaults(func=cmd_verify)
 
     p_traces = sub.add_parser("traces", help="enumerate traces from a generator file")
@@ -417,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_traces.add_argument("--max-word", type=int, default=8)
     p_traces.add_argument("--bound", default="50")
     p_traces.add_argument("--out", type=_out_path, default=None)
-    p_traces.add_argument("--state-cap", type=int, default=None)
+    p_traces.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p_traces.set_defaults(func=cmd_traces)
 
     p_render = sub.add_parser("render", help="render circles and domains as SVG")

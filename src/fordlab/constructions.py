@@ -64,7 +64,6 @@ class SearchExhausted(RuntimeError):
 
 DEFAULT_BOUND = Fraction(50)
 DEFAULT_WORD_LEN = 12
-DEFAULT_HORIZON = 50
 CROSS_CHECK_LEN = 4
 
 
@@ -87,7 +86,6 @@ class Construction:
     model: TraceSetModel
     ambient_name: str
     notes: list = field(default_factory=list)
-    prism: PrismDomain | None = None
 
     def ambient_check(self, g: MoebiusElement) -> bool:
         kind = self.model.kind
@@ -682,15 +680,16 @@ def _build_bianchi(d: int) -> Construction:
                         [None] * len(subgroups),
                         _conjugated(subgroups, conjugators),
                         TraceSetModel("bianchi", d), f"PSL2(O_{d})",
-                        notes=notes, prism=prism0)
+                        notes=notes)
 
 
-def coset_cover_check(d: int) -> CheckRecord:
-    """The +-coset points must cover all nine residues mod the 3-lattice."""
+def coset_cover_check(subgroups) -> CheckRecord:
+    """The +-coset points of the subgroups must cover all nine residues mod
+    the 3-lattice."""
     residues = set()
-    for x in bianchi_x_values(d):
+    for sub in subgroups:
         for sign in (1, -1):
-            u, v, n = omega_ints(sign * x, d)
+            u, v, n = omega_ints(sign * sub.x, sub.domain.d)
             residues.add((u // n % 3, v // n % 3))
     ok = len(residues) == 9
     return CheckRecord("coset_cover_mod_3", "pass" if ok else "fail",
@@ -702,7 +701,6 @@ def coset_cover_check(d: int) -> CheckRecord:
 
 def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
                         max_word_len: int = DEFAULT_WORD_LEN,
-                        horizon: int = DEFAULT_HORIZON,
                         state_cap: int | None = None) -> Certificate:
     """Run every exact check for a construction and assemble the verdict."""
     bound = Fraction(bound)
@@ -729,11 +727,10 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
             reasons.append(f"LemmaViolation[{sub.label}]: {exc.detail}")
 
     if is_bianchi:
-        checks.append(coset_cover_check(construction.param))
-        items = [(sub.x, sub.gens, alpha) for sub, alpha in
-                 zip(construction.subgroups, construction.conjugators)]
-        checks += bianchi_separation_check(construction.param, items,
-                                           construction.prism, horizon=horizon)
+        checks.append(coset_cover_check(construction.subgroups))
+        checks += bianchi_separation_check(
+            [(sub.domain, sub.gens, alpha) for sub, alpha in
+             zip(construction.subgroups, construction.conjugators)])
     else:
         present = [alpha for alpha in construction.conjugators if alpha is not None]
         if len(present) == len(construction.subgroups):

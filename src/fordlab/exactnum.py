@@ -12,11 +12,6 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt
 
-Rational = Fraction
-
-GREATER = 1
-EQUAL = 0
-
 _INTERVAL_START_BITS = 64
 _INTERVAL_MAX_BITS = 2 ** 16
 _SQUAREFREE_TRIAL_LIMIT = 10 ** 6
@@ -420,7 +415,7 @@ class QuadValue:
         return -self if self.sign_real() < 0 else self
 
     def abs2(self) -> Fraction:
-        """|x|^2 for complex (m <= 0) or rational values, always a Rational."""
+        """|x|^2 for complex (m <= 0) or rational values, always a Fraction."""
         if self.m > 0:
             raise NotComplexModulus(
                 "squared modulus is not rational for real-quadratic irrationals")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt
 
 from fordlab.exactnum import (
@@ -71,11 +72,10 @@ def _real_sq(v: QuadValue) -> Fraction:
 
 @dataclass(frozen=True)
 class IsometricDisk:
-    """Isometric circle/sphere of its owner: center -d/c, radius 1/|c|."""
+    """Isometric circle/sphere of an element: center -d/c, radius 1/|c|."""
 
     center: QuadValue
     radius_sq: Fraction
-    owner: MoebiusElement
 
     def same_circle(self, other: IsometricDisk) -> bool:
         return self.center == other.center and self.radius_sq == other.radius_sq
@@ -85,7 +85,7 @@ def isometric_disk(g: MoebiusElement) -> IsometricDisk:
     if g.c.is_zero():
         raise FixesInfinity(f"{g} fixes infinity")
     center = -g.d / g.c
-    return IsometricDisk(center, Fraction(1) / _real_sq(g.c), g)
+    return IsometricDisk(center, Fraction(1) / _real_sq(g.c))
 
 
 def _center_gap_sq(u: IsometricDisk, v: IsometricDisk) -> QuadValue:
@@ -193,27 +193,8 @@ def _edge_expr(disk: IsometricDisk, x: QuadValue, side: int) -> RadicalExpr:
     return base - RadicalExpr(0, ((1, disk.radius_sq),))
 
 
-def disk_within_interval(disk: IsometricDisk, x: QuadValue, y: QuadValue,
-                         strict: bool = True) -> bool:
-    lo = _edge_expr(disk, x, -1).sign()
-    hi = _edge_expr(disk, y, +1).sign()
-    if strict:
-        return lo > 0 and hi > 0
-    return lo >= 0 and hi >= 0
-
-
-def disk_in_domain(u: IsometricDisk, domain) -> bool:
-    """Closed disk inside the domain closure, off every excluded open disk."""
-    if isinstance(domain, PrismDomain):
-        return _ball_in_prism_domain(u, domain)
-    if not disk_within_interval(u, domain.left(), domain.right(), strict=False):
-        return False
-    for other, _ in domain.excluded:
-        if u.same_circle(other):
-            return False
-        if _separation_expr(u, other).sign() < 0:
-            return False
-    return True
+def disk_within_interval(disk: IsometricDisk, x: QuadValue, y: QuadValue) -> bool:
+    return _edge_expr(disk, x, -1).sign() > 0 and _edge_expr(disk, y, +1).sign() > 0
 
 
 def build_ford_two_gen(m, g2: MoebiusElement) -> StripDomain:
@@ -280,6 +261,10 @@ def build_ford_two_gen(m, g2: MoebiusElement) -> StripDomain:
 # -- membership by Ford reduction ----------------------------------------------
 
 
+# Ford reduction steps before membership_reduce gives up as undecided
+REDUCE_CAP = 10000
+
+
 class Membership(Enum):
     MEMBER = "member"
     NON_MEMBER = "non_member"
@@ -340,8 +325,7 @@ def _point_in_open_disk(x: QuadValue, y: QuadValue, disk: IsometricDisk) -> int:
     return QuadValue(disk.radius_sq).cmp_real(dx * dx + y * y)
 
 
-def membership_reduce(domain: StripDomain, target: MoebiusElement,
-                      cap: int = 10000) -> ReduceResult:
+def membership_reduce(domain: StripDomain, target: MoebiusElement) -> ReduceResult:
     """Decide membership of target in the group with this Ford domain.
 
     Tracks the image of a rational interior basepoint under target and
@@ -356,7 +340,7 @@ def membership_reduce(domain: StripDomain, target: MoebiusElement,
     trans = domain.translation
     period = domain.period
     iterations = 0
-    while iterations < cap:
+    while iterations < REDUCE_CAP:
         offset = x - domain.center
         if offset.cmp_real(domain.halfwidth) > 0:
             step = trans.inv()
@@ -560,27 +544,11 @@ def ball_strictly_in_prism(disk: IsometricDisk, prism: PrismDomain) -> tuple[boo
     return True, worst
 
 
-def _ball_in_prism_domain(u: IsometricDisk, prism: PrismDomain) -> bool:
-    x, y, s = cell_coords(prism, *omega_ints(u.center, prism.d))
-    if not (0 <= x <= s and 0 <= y <= s):
-        return False
-    for dist2 in _wall_dist_sq(x, y, s, prism.d):
-        # closure containment allows tangency to the walls
-        if dist2 < u.radius_sq:
-            return False
-    for other, _ in prism.excluded:
-        if u.same_circle(other):
-            return False
-        if _separation_expr(u, other).sign() < 0:
-            return False
-    return True
-
-
 # -- separation verification (half-plane) ----------------------------------------------
 
 
-def verify_separation(items, ambient_check, ambient_name: str = "ambient",
-                      cap: int = 10000) -> list[CheckRecord]:
+def verify_separation(items, ambient_check,
+                      ambient_name: str = "ambient") -> list[CheckRecord]:
     """Exact verification of the conjugated-combination hypotheses.
 
     items: sequence of (domain, conjugator, (x, y) interval) triples.
@@ -600,7 +568,7 @@ def verify_separation(items, ambient_check, ambient_name: str = "ambient",
             continue
         da = isometric_disk(alpha)
         dai = isometric_disk(alpha.inv())
-        disks.append((idx, da, dai))
+        disks.append((idx, [da] if da.same_circle(dai) else [da, dai]))
 
         ok = (disk_within_interval(da, x, y) and disk_within_interval(dai, x, y))
         margin = _interval_margin(da, dai, x, y)
@@ -623,7 +591,7 @@ def verify_separation(items, ambient_check, ambient_name: str = "ambient",
                                   "pass" if (in_strip and shadow_ok) else "fail",
                                   witnesses={"interval": (str(x), str(y))}))
 
-        reduce_result = membership_reduce(domain, alpha, cap=cap)
+        reduce_result = membership_reduce(domain, alpha)
         if reduce_result.status == Membership.NON_MEMBER:
             status = "pass"
         elif reduce_result.status == Membership.MEMBER:
@@ -645,18 +613,19 @@ def verify_separation(items, ambient_check, ambient_name: str = "ambient",
             ok = yi.cmp_real(xj) <= 0 or yj.cmp_real(xi) <= 0
             checks.append(CheckRecord(f"intervals_disjoint[{i},{j}]",
                                       "pass" if ok else "fail"))
-    for ii in range(len(disks)):
-        for jj in range(ii + 1, len(disks)):
-            i, da, dai = disks[ii]
-            j, db, dbi = disks[jj]
-            left = [da] if da.same_circle(dai) else [da, dai]
-            right = [db] if db.same_circle(dbi) else [db, dbi]
-            # disjoint only when every pair's margin is positive: tangency
-            # (margin 0) fails
-            worst = min(separation_margin(u, v) for u in left for v in right)
-            checks.append(CheckRecord(f"conjugator_disks_disjoint[{i},{j}]",
-                                      "pass" if worst.sign_real() > 0 else "fail",
-                                      margin=worst))
+    return checks + _disjoint_pairs("conjugator_disks_disjoint", disks)
+
+
+def _disjoint_pairs(name: str, groups) -> list[CheckRecord]:
+    """One check per pair of the (index, disks) groups, with margin the
+    least separation_margin over their disk pairs: disjoint only when it is
+    positive, so tangency (margin 0) fails."""
+    checks = []
+    for (i, left), (j, right) in combinations(groups, 2):
+        worst = min(separation_margin(u, v) for u in left for v in right)
+        checks.append(CheckRecord(f"{name}[{i},{j}]",
+                                  "pass" if worst.sign_real() > 0 else "fail",
+                                  margin=worst))
     return checks
 
 
@@ -746,36 +715,34 @@ def _spheres_apart(sa, sb, d: int) -> int:
     return (t > 0) - (t < 0)
 
 
-def _linear_sphere_margin(center_a, r2_a, center_b, r2_b):
-    try:
-        gap = (qv(center_a) - qv(center_b)).abs2()
-        return sqrt_qv(gap) - sqrt_qv(r2_a) - sqrt_qv(r2_b)
-    except MixedRadicand:
-        return None
+def _sphere(disk: IsometricDisk, d: int) -> tuple:
+    """The disk as a sphere (u, v, n, r^2) of ``_spheres_apart``."""
+    return (*omega_ints(disk.center, d), disk.radius_sq)
 
 
-def bianchi_separation_check(d: int, items, prism: PrismDomain,
-                             horizon: int = 50) -> list[CheckRecord]:
+def bianchi_separation_check(items, horizon: int = 50) -> list[CheckRecord]:
     """Exact combination hypotheses for the half-space construction.
 
-    items: sequence of (x, gens, conjugator-or-None).  Each conjugator must
-    be an involution whose sphere sits strictly inside the prism, away from
-    every unit sphere of its own subgroup and of the unconjugated one, away
-    from scanned power spheres where those arise, and away from the other
-    conjugator spheres.  When a scan's growth flag is set, the remaining
-    tail is accepted under a recorded monotone-growth assumption with an
-    exact final margin; otherwise the tail check is left undecided.
+    items: sequence of (domain, gens, conjugator-or-None), the domain the
+    coset subgroup's PrismDomain and its coset generator [[x, -1], [1, 0]]
+    the first of gens that does not fix infinity.  Each conjugator must be
+    an involution whose sphere sits strictly inside the prism, away from
+    every unit sphere of its subgroup's domain, away from scanned power
+    spheres where those arise, and away from the other conjugator spheres.
+    When a scan's growth flag is set, the remaining tail is accepted under
+    a recorded monotone-growth assumption with an exact final margin;
+    otherwise the tail check is left undecided.
     """
     checks: list[CheckRecord] = []
     delta_disks = []
-    for idx, (x, gens, delta) in enumerate(items):
-        x = qv(x)
+    for idx, (domain, gens, delta) in enumerate(items):
+        d = domain.d
         label = f"[{idx}]"
         gamma = next((g for g in gens if not g.c.is_zero()), None)
         scan = None
         if gamma is not None:
-            trace = gamma.trace()
-            if not trace.is_real and x.abs2() <= 4:
+            x = gamma.a
+            if not gamma.trace().is_real and x.abs2() <= 4:
                 scan = power_sphere_scan(gamma, horizon)
                 bad = [n for n, dk, dki in scan.entries if dk.radius_sq > 1]
                 checks.append(CheckRecord(
@@ -794,27 +761,20 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
                                       witnesses={"error": "FixesInfinity"}))
             continue
         ddisk = isometric_disk(delta)
-        sphere = (*omega_ints(ddisk.center, d), ddisk.radius_sq)
-        delta_disks.append((idx, ddisk, sphere))
+        sphere = _sphere(ddisk, d)
+        delta_disks.append((idx, [ddisk]))
 
-        ok, margin2 = ball_strictly_in_prism(ddisk, prism)
+        ok, margin2 = ball_strictly_in_prism(ddisk, domain)
         checks.append(CheckRecord(f"delta_in_prism{label}",
                                   "pass" if ok else "fail",
                                   margin=QuadValue(margin2),
                                   witnesses={"kind": "squared"}))
 
-        unit_ints = _lattice_translates(prism, QuadValue(0))
-        if not x.is_zero():
-            unit_ints += _lattice_translates(prism, x)
-        clear = all(_spheres_apart(sphere, (*c, Fraction(1)), d) > 0
-                    for c in unit_ints)
-        unit_centers = [omega_value(*c, d) for c in unit_ints]
-        worst = None
-        for center in unit_centers:
-            lin = _linear_sphere_margin(ddisk.center, ddisk.radius_sq,
-                                        center, Fraction(1))
-            if lin is not None and (worst is None or lin.cmp_real(worst) < 0):
-                worst = lin
+        # with delta's ball inside the cell, a unit sphere meeting it has its
+        # centre within 1 of the cell: one of the domain's excluded spheres
+        units = [disk for disk, _ in domain.excluded]
+        clear = all(_spheres_apart(sphere, _sphere(u, d), d) > 0 for u in units)
+        worst = min((separation_margin(ddisk, u) for u in units), default=None)
         checks.append(CheckRecord(f"delta_clears_unit_spheres{label}",
                                   "pass" if clear else "fail", margin=worst))
 
@@ -823,24 +783,25 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
                 _spheres_apart(sphere, (*c, disk.radius_sq), d) > 0
                 for n, dk, dki in scan.entries
                 for disk in ((dk,) if dk.same_circle(dki) else (dk, dki))
-                for c in _lattice_translates(prism, disk.center))
+                for c in _lattice_translates(domain, disk.center))
             checks.append(CheckRecord(f"delta_clears_power_spheres{label}",
                                       "pass" if scan_ok else "fail",
                                       witnesses={"scanned": len(scan.entries)}))
             if scan.growing:
                 tail_ok = True
                 cap_norm = scan.norms[-1][1]
-                for tau in unit_centers:
-                    dist2 = (ddisk.center - tau).abs2()
-                    # need sqrt(dist2) > 1 + r_delta + 2/sqrt(cap_norm)
-                    expr = RadicalExpr(-1, ((1, dist2),
-                                            (-1, ddisk.radius_sq),
-                                            (-2, Fraction(1) / cap_norm)))
-                    try:
-                        if expr.sign() <= 0:
-                            tail_ok = False
-                    except PrecisionExhausted:
-                        tail_ok = None
+                for base in (QuadValue(0), x):
+                    for c in _lattice_translates(domain, base):
+                        dist2 = (ddisk.center - omega_value(*c, d)).abs2()
+                        # need sqrt(dist2) > 1 + r_delta + 2/sqrt(cap_norm)
+                        expr = RadicalExpr(-1, ((1, dist2),
+                                                (-1, ddisk.radius_sq),
+                                                (-2, Fraction(1) / cap_norm)))
+                        try:
+                            if expr.sign() <= 0:
+                                tail_ok = False
+                        except PrecisionExhausted:
+                            tail_ok = None
                 status = {True: "pass", False: "fail", None: "undecided"}[tail_ok]
                 checks.append(CheckRecord(
                     f"power_tail{label}", status,
@@ -852,13 +813,4 @@ def bianchi_separation_check(d: int, items, prism: PrismDomain,
                     witnesses={"reason": "growth flag not set at horizon",
                                "horizon": horizon}))
 
-    for ii in range(len(delta_disks)):
-        for jj in range(ii + 1, len(delta_disks)):
-            i, di, si = delta_disks[ii]
-            j, dj, sj = delta_disks[jj]
-            s = _spheres_apart(si, sj, d)
-            lin = _linear_sphere_margin(di.center, di.radius_sq,
-                                        dj.center, dj.radius_sq)
-            checks.append(CheckRecord(f"delta_spheres_disjoint[{i},{j}]",
-                                      "pass" if s > 0 else "fail", margin=lin))
-    return checks
+    return checks + _disjoint_pairs("delta_spheres_disjoint", delta_disks)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -22,7 +21,6 @@ __all__ = [
     "StateExplosion",
     "TraceSetModel",
     "coverage_report",
-    "default_state_cap",
     "enumerate_traces",
     "expected_set",
     "model_contains",
@@ -31,7 +29,6 @@ __all__ = [
     "unit_residue_traces",
 ]
 
-STATE_CAP_ENV = "FORDLAB_STATE_CAP"
 DEFAULT_STATE_CAP = 5_000_000
 
 
@@ -52,20 +49,6 @@ class EnumerationResult:
 
 class NotHyperbolic(ValueError):
     """Geodesic length is defined for real traces of absolute value > 2."""
-
-
-def default_state_cap() -> int:
-    """The state cap from FORDLAB_STATE_CAP, or the default when it is unset."""
-    raw = os.environ.get(STATE_CAP_ENV)
-    if not raw:
-        return DEFAULT_STATE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{STATE_CAP_ENV}={raw!r} is not a positive integer")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -191,7 +174,7 @@ def enumerate_traces(gens, max_word_len: int, trace_bound,
     # of every command that does not enumerate
     from fordlab._bfs import bfs_enumerate
 
-    cap = default_state_cap() if state_cap is None else state_cap
+    cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     return bfs_enumerate(list(gens), max_word_len, Fraction(trace_bound),
                          state_cap=cap)
 

@@ -265,4 +265,3 @@ def test_bianchi_build_makes_one_prism_per_coset(monkeypatch, d):
     monkeypatch.setattr(fordlab.constructions, "bianchi_prism", spy)
     c = build("bianchi", d)
     assert calls == bianchi_x_values(d)
-    assert c.prism is c.subgroups[0].domain

@@ -19,7 +19,7 @@ from fordlab.geometry import (
     bianchi_separation_check,
     build_ford_two_gen,
     disk_contains_fixed_point,
-    disk_in_domain,
+    disk_within_interval,
     disks_disjoint,
     domain_basepoint,
     infinite_area_height,
@@ -32,9 +32,7 @@ from fordlab.geometry import (
     PrismDomain,
     _interval_margin,
     _lattice_translates,
-    _ball_in_prism_domain,
     _prism_dist_sq,
-    _linear_sphere_margin,
     _separation_expr,
     _spheres_apart,
     cell_coords,
@@ -111,11 +109,18 @@ def modular_strip(g2):
     return StripDomain(Fraction(3, 2), Fraction(5, 2), T5, excluded)
 
 
+def _disk_in_domain(u, dom):
+    """The disk strictly inside the strip and off every excluded disk."""
+    return (disk_within_interval(u, dom.left(), dom.right())
+            and all(disks_disjoint(u, other) == Disjointness.DISJOINT
+                    for other, _ in dom.excluded))
+
+
 def test_disk_in_domain():
     dom = modular_strip(G1)
-    assert disk_in_domain(isometric_disk(ALPHA1), dom)
-    assert not disk_in_domain(isometric_disk(G1), dom)   # an excluded disk
-    assert not disk_in_domain(unit_disk(-5), dom)        # outside the strip
+    assert _disk_in_domain(isometric_disk(ALPHA1), dom)
+    assert not _disk_in_domain(isometric_disk(G1), dom)   # an excluded disk
+    assert not _disk_in_domain(unit_disk(-5), dom)        # outside the strip
 
 
 def test_build_ford_two_gen_examples():
@@ -229,7 +234,7 @@ def test_fixed_point_containment_complex():
             continue
         assert disk_contains_fixed_point(g, isometric_disk(power))
         assert disk_contains_fixed_point(g, isometric_disk(power.inv()))
-    far = IsometricDisk(QuadValue(9), Fraction(1), S)
+    far = IsometricDisk(QuadValue(9), Fraction(1))
     assert not disk_contains_fixed_point(g, far)
 
 
@@ -306,16 +311,21 @@ def test_delta_sphere_inside_prism_for_d5():
     ok, margin = ball_strictly_in_prism(disk, _prism(5))
     assert ok and margin > 0
     from fordlab.constructions import bianchi_prism
+    # both cosets' prisms share the cell; the ball clears each one's spheres
     for base in (QuadValue(0), QuadValue(1)):
-        assert disk_in_domain(disk, bianchi_prism(5, base))
+        assert all(disks_disjoint(disk, other) == Disjointness.DISJOINT
+                   for other, _ in bianchi_prism(5, base).excluded)
+
+
+def _bianchi_items(c):
+    return [(sub.domain, sub.gens, alpha)
+            for sub, alpha in zip(c.subgroups, c.conjugators)]
 
 
 def test_bianchi_separation_d5_passes():
     from fordlab.constructions import build
-    c = build("bianchi", 5)
-    items = [(sub.x, sub.gens, alpha)
-             for sub, alpha in zip(c.subgroups, c.conjugators)]
-    checks = bianchi_separation_check(5, items, c.prism, horizon=30)
+    checks = bianchi_separation_check(_bianchi_items(build("bianchi", 5)),
+                                      horizon=30)
     assert not _unpassed(checks)
 
 
@@ -337,10 +347,53 @@ def test_bianchi_separation_d3_family_set_diagnostic():
     items = []
     for sub in c.subgroups:
         delta = None if sub.x.is_zero() else family[str(sub.x)]
-        items.append((sub.x, sub.gens, delta))
-    checks = bianchi_separation_check(3, items, c.prism, horizon=20)
+        items.append((sub.domain, sub.gens, delta))
+    checks = bianchi_separation_check(items, horizon=20)
     assert isinstance(checks[0], CheckRecord)
     assert _unpassed(checks)
+
+
+def test_delta_clears_the_unit_spheres_of_its_own_domain():
+    # a unit sphere added to P[1]'s domain, meeting delta[1]'s sphere, fails
+    # that coset's check and no other
+    from fordlab.constructions import build
+    c = build("bianchi", 19)
+    name = "delta_clears_unit_spheres[{}]"
+    before = {ch.name: ch.status for ch in bianchi_separation_check(
+        _bianchi_items(c), horizon=2)}
+    assert [before[name.format(i)] for i in (1, 2, 3, 4)] == ["pass"] * 4
+    tau = MoebiusElement(1, isometric_disk(c.conjugators[1]).center + 1, 0, 1)
+    owner = tau * S * tau.inv()
+    c.subgroups[1].domain.excluded.append((isometric_disk(owner), owner))
+    after = {ch.name: ch.status for ch in bianchi_separation_check(
+        _bianchi_items(c), horizon=2)}
+    assert [after[name.format(i)] for i in (1, 2, 3, 4)] == [
+        "fail", "pass", "pass", "pass"]
+
+
+# square-free d up to 23, and 26, 29, 30, 31, 35, 43 and 67
+_BIANCHI_SWEEP = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23,
+                  26, 29, 30, 31, 35, 43, 67)
+
+
+@pytest.mark.parametrize("d", _BIANCHI_SWEEP)
+def test_unit_sphere_margin_is_least_over_wide_translates(d):
+    """Each delta_clears_unit_spheres margin, read from the domain's
+    excluded spheres, is the least |c - tau| - r - 1 over the 25 lattice
+    translates tau of 0 and the 25 of the coset point x."""
+    from fordlab.constructions import build
+    c = build("bianchi", d)
+    checks = {ch.name: ch for ch in bianchi_separation_check(
+        _bianchi_items(c), horizon=2)}
+    for idx, (sub, delta) in enumerate(zip(c.subgroups, c.conjugators)):
+        if delta is None:
+            continue
+        disk = isometric_disk(delta)
+        want = min(sqrt_qv((disk.center - tau).abs2())
+                   - sqrt_qv(disk.radius_sq) - 1
+                   for base in (QuadValue(0), sub.x)
+                   for tau in _seed_translates(sub.domain, base))
+        assert checks[f"delta_clears_unit_spheres[{idx}]"].margin == want
 
 
 def test_degenerate_delta_with_nonzero_trace_fails():
@@ -350,8 +403,8 @@ def test_degenerate_delta_with_nonzero_trace_fails():
     items = []
     for sub in c.subgroups:
         delta = None if sub.x.is_zero() else from_ints(2, -1, 1, 0)
-        items.append((sub.x, sub.gens, delta))
-    checks = bianchi_separation_check(5, items, c.prism, horizon=10)
+        items.append((sub.domain, sub.gens, delta))
+    checks = bianchi_separation_check(items, horizon=10)
     assert any(c_.name.startswith("delta_involution") and c_.status == "fail"
                for c_ in checks)
 
@@ -459,19 +512,18 @@ def _reduced_words(gens, max_len):
 def test_margins_fall_back_only_on_mixed_radicands(monkeypatch):
     # radii sqrt(2)/2 and sqrt(3)/3 do not combine into one ring with the
     # centre gap, so each margin falls back, and only for that reason
-    u = IsometricDisk(QuadValue(0), Fraction(1, 2), S)
-    v = IsometricDisk(QuadValue(5), Fraction(1, 3), S)
+    u = IsometricDisk(QuadValue(0), Fraction(1, 2))
+    v = IsometricDisk(QuadValue(5), Fraction(1, 3))
     root2 = QuadValue(0, 1, 2)
     alpha = MoebiusElement(root2, QuadValue(0, Fraction(-1, 2), 2), root2, 0)
     da, dai = isometric_disk(alpha), isometric_disk(alpha.inv())
     x, y = QuadValue(0, -1, 5), QuadValue(0, 1, 5)
     calls = [
         lambda: separation_margin(u, v),
-        lambda: _linear_sphere_margin(u.center, u.radius_sq, v.center, v.radius_sq),
         lambda: _interval_margin(da, dai, x, y),
     ]
     assert [call() for call in calls] == [
-        _separation_expr(u, v).to_quadvalue(), None, None]
+        _separation_expr(u, v).to_quadvalue(), None]
 
     def broken(q):
         raise RuntimeError("broken sqrt")
@@ -593,13 +645,6 @@ def _seed_ball_strictly_in_prism(disk, prism):
     return True, worst
 
 
-def _seed_ball_in_prism_domain(disk, prism):
-    s, t = _seed_lattice_coords(prism, disk.center)
-    return (0 <= s <= 1 and 0 <= t <= 1
-            and all(dist2 >= disk.radius_sq
-                    for dist2 in _seed_wall_distance_sq(prism, disk.center)))
-
-
 def _seed_point_prism_dist_sq(z, prism):
     """The QuadValue form of _prism_dist_sq: the nearest point of each
     edge by a clamped projection."""
@@ -693,10 +738,10 @@ _IN_CELL = st.fractions(min_value=0, max_value=1, max_denominator=50) | _CELL
          radius_sq=Fraction(9), nudge=0)
 def test_ball_in_prism_on_integers_matches_wall_formula(d, anchor, point, wall,
                                                         radius_sq, nudge):
-    """ok and margin of ball_strictly_in_prism, and the closed test of
-    disk_in_domain, agree with the lattice-coordinate and wall-plane
-    formulas: for centres on walls and corners and outside the cell, and
-    for radii equal to a wall distance (margin 0) or nudged off it."""
+    """ok and margin of ball_strictly_in_prism agree with the
+    lattice-coordinate and wall-plane formulas: for centres on walls and
+    corners and outside the cell, and for radii equal to a wall distance
+    (margin 0) or nudged off it."""
     if anchor is not None:
         anchor = QuadValue(anchor[0], anchor[1], -d)
     prism = _prism_for(d, anchor)
@@ -705,10 +750,9 @@ def test_ball_in_prism_on_integers_matches_wall_formula(d, anchor, point, wall,
     if wall is not None:
         radius_sq = _seed_wall_distance_sq(prism, z)[wall] or radius_sq
         radius_sq += nudge * radius_sq / (1 << 40)
-    disk = IsometricDisk(z, radius_sq, None)
+    disk = IsometricDisk(z, radius_sq)
     got = ball_strictly_in_prism(disk, prism)
     assert got == _seed_ball_strictly_in_prism(disk, prism)
-    assert _ball_in_prism_domain(disk, prism) == _seed_ball_in_prism_domain(disk, prism)
 
 
 @given(d=st.sampled_from(_RINGS), anchor=st.none() | st.tuples(_RATS, _RATS),
@@ -731,11 +775,12 @@ def test_cell_shift_matches_canonicalize(d, anchor, point):
 def test_bianchi_conjugators_shifted_as_by_canonicalize(d):
     from fordlab.constructions import bianchi_deltas, bianchi_x_values, build
     c = build("bianchi", d)
-    t1, t2 = _seed_cell(c.prism)
+    prism = c.subgroups[0].domain
+    t1, t2 = _seed_cell(prism)
     want = [None]
     for x in bianchi_x_values(d)[1:]:
         delta = bianchi_deltas(d)[str(x)]
-        _, (js, jt) = _seed_canonicalize(c.prism, isometric_disk(delta).center)
+        _, (js, jt) = _seed_canonicalize(prism, isometric_disk(delta).center)
         tau = MoebiusElement(1, t1 * js + t2 * jt, 0, 1)
         want.append(tau * delta * tau.inv())
     assert c.conjugators == want

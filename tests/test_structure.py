@@ -44,3 +44,29 @@ def test_every_definition_is_referenced():
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in used)
     assert not unused, "defined but never referenced:\n" + "\n".join(unused)
+
+
+def _field_reads(tree):
+    """Every name the tree reads as an attribute or names in a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value.rsplit(".", 1)[-1]
+
+
+def test_every_field_is_read():
+    """An annotated field in a class body of the package that nothing in
+    src/, tests/ or bench/ reads as an attribute or names in a string is
+    dead data."""
+    read = set()
+    for _, tree in _trees(SCANNED):
+        read.update(_field_reads(tree))
+    unread = sorted(
+        f"{path.relative_to(ROOT)}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+        for path, tree in _trees([PACKAGE])
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read)
+    assert not unread, "fields never read:\n" + "\n".join(unread)

@@ -972,20 +972,6 @@ def test_state_cap_raises():
         enumerate_traces([from_ints(1, -1, 1, 0), T5], 10, 10, state_cap=50)
 
 
-def test_state_cap_env_override(monkeypatch):
-    monkeypatch.setenv("FORDLAB_STATE_CAP", "40")
-    from fordlab.tracesets import default_state_cap
-    assert default_state_cap() == 40
-    with pytest.raises(StateExplosion):
-        enumerate_traces([from_ints(1, -1, 1, 0), T5], 10, 10)
-    for bad in ("oops", "0", "-3"):
-        monkeypatch.setenv("FORDLAB_STATE_CAP", bad)
-        with pytest.raises(ValueError, match="FORDLAB_STATE_CAP"):
-            default_state_cap()
-        with pytest.raises(ValueError, match="FORDLAB_STATE_CAP"):
-            enumerate_traces([T5], 2, 10)
-
-
 def test_coverage_report():
     cov = coverage_report({QuadValue(0), QuadValue(2)},
                           {QuadValue(0), QuadValue(2)})
@@ -1021,9 +1007,18 @@ def test_unit_residue_symmetry():
 
 
 def test_bianchi_coset_cover():
-    from fordlab.constructions import coset_cover_check
+    from fordlab.constructions import build, coset_cover_check
     for d in (1, 2, 3, 5, 6, 7, 11, 15, 19):
-        assert coset_cover_check(d).status == "pass"
+        assert coset_cover_check(build("bianchi", d).subgroups).status == "pass"
+
+
+@pytest.mark.parametrize("d", [1, 3, 19])
+def test_bianchi_coset_cover_reads_the_subgroups(d):
+    # without P[2+omega], +-(2+omega) leave two of the nine residues uncovered
+    from fordlab.constructions import build, coset_cover_check
+    check = coset_cover_check(build("bianchi", d).subgroups[:-1])
+    assert check.status == "fail"
+    assert len(check.witnesses["residues"]) == 7
 
 
 def test_trace_to_length():
