@@ -23,11 +23,11 @@ numpy rows, which hold each coordinate x as the int64 pair
 x*g is linear in the row x, with one integer matrix per direction g read
 off the codec's own product.  Numpy levels apply it as int64 sums: on two
 limbs the same sums over the hi and over the lo limbs, then one carry per
-coordinate.  A numpy level is deduplicated by row hash and kept in
-generation order; Python-int and exact levels are sorted lists.  Neither
-order matters: each state's link names the first direction that reaches it
-from the level before, and each trace is witnessed by the least state, in
-numeric row order, that has it.
+coordinate.  Every level keeps the first occurrence of each new row in
+generation order, found by row hash on numpy levels and by a set on
+Python-int and exact levels.  So each state's link names the first
+direction that reaches it from the level before, and each trace is
+witnessed by the least state, in numeric row order, that has it.
 """
 
 from __future__ import annotations
@@ -697,25 +697,23 @@ class _Search:
         return out, (dirs, np.concatenate(parents)), new
 
     def _py_level(self, frontier, last, older):
-        # the rule of _np_level on lists, as (rows, links): a stable sort of
-        # the two old levels and the candidates keeps the first of each run
-        # of equal rows only if it is new, so the level comes out sorted.
-        # Equal (key, element) states of the exact codec have equal keys
-        # and equal elements, so elements are never ordered.
+        # the rule of _np_level on lists, as (rows, links): the first
+        # occurrence of each row among the two old levels and then the
+        # candidates, kept only if it is new, in generation order
         mul, inv_idx = self.codec.mul, self.inv_idx
-        rows, links = older + frontier, []
-        n_old = len(rows)
+        seen = set(older)
+        seen.update(frontier)
+        rows, dirs, parents = [], [], []
         for j, gen in enumerate(self.dirs):
             for x, (state, ld) in enumerate(zip(frontier, last)):
                 if ld != inv_idx[j]:
-                    rows.append(mul(state, gen))
-                    links.append((j, x))
-        order = sorted(range(len(rows)), key=rows.__getitem__)
-        kept = [i for at, i in enumerate(order) if i >= n_old
-                and (at == 0 or rows[i] != rows[order[at - 1]])]
-        links = [links[i - n_old] for i in kept]
-        return ([rows[i] for i in kept],
-                ([j for j, _ in links], [x for _, x in links]))
+                    row = mul(state, gen)
+                    if row not in seen:
+                        seen.add(row)
+                        rows.append(row)
+                        dirs.append(j)
+                        parents.append(x)
+        return rows, (dirs, parents)
 
     def _record(self, rows, level):
         """Record every trace key first met in a level, with the index of
@@ -740,10 +738,10 @@ class _Search:
                 np.minimum.at(least, group, col[idx])
                 keep = col[idx] == least[group]
                 idx, group = idx[keep], group[keep]
-            rows = sorted(zip(_py_rows(rows[idx], self.width), idx.tolist()))
+            rows = zip(_py_rows(rows[idx], self.width), idx.tolist())
         else:
             rows = zip(rows, range(len(rows)))
-        for row, i in rows:
+        for row, i in sorted(rows):
             key = self.codec.trace_key(row)
             if key is not None and key not in self.traces:
                 self.traces[key] = (level, i)

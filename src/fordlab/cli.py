@@ -140,6 +140,8 @@ def load_report(text: str) -> dict:
 
 
 _SCALE = 100
+# height of the strip walls drawn by render_strip_svg
+_STRIP_HEIGHT = 3.0
 
 
 def _fmt(x) -> str:
@@ -178,15 +180,15 @@ def _svg_document(body, min_x, max_x, min_y, max_y) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def render_strip_svg(domains, conj_disks=(), intervals=(), height=3.0) -> str:
+def render_strip_svg(domains, conj_disks=(), intervals=()) -> str:
     body = []
     lo, hi = None, None
     for domain in domains:
         left, right = _floats(domain.left())[0], _floats(domain.right())[0]
         lo = left if lo is None else min(lo, left)
         hi = right if hi is None else max(hi, right)
-        body.append(_svg_line(left, 0, left, height, "#0868c4"))
-        body.append(_svg_line(right, 0, right, height, "#0868c4"))
+        body.append(_svg_line(left, 0, left, _STRIP_HEIGHT, "#0868c4"))
+        body.append(_svg_line(right, 0, right, _STRIP_HEIGHT, "#0868c4"))
         for disk, owner in domain.excluded:
             cx = _floats(disk.center)[0]
             r = float(disk.radius_sq) ** 0.5
@@ -200,7 +202,7 @@ def render_strip_svg(domains, conj_disks=(), intervals=(), height=3.0) -> str:
     if lo is None:
         lo, hi = -1.0, 1.0
     body.append(_svg_line(lo - 0.5, 0, hi + 0.5, 0, "#000000"))
-    return _svg_document(body, lo, hi, 0, height)
+    return _svg_document(body, lo, hi, 0, _STRIP_HEIGHT)
 
 
 def render_prism_svg(prism: PrismDomain, conj_disks=()) -> str:

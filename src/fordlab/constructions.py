@@ -19,6 +19,7 @@ from fordlab.geometry import (
     PrismDomain,
     StripDomain,
     _rational_point_in,
+    _shadow,
     bianchi_separation_check,
     build_ford_two_gen,
     cell_coords,
@@ -65,6 +66,10 @@ class SearchExhausted(RuntimeError):
 DEFAULT_BOUND = Fraction(50)
 DEFAULT_WORD_LEN = 12
 CROSS_CHECK_LEN = 4
+# conjugator search budgets: fixed-point candidates whose powers are tried,
+# and the largest lower-left entry of an involution
+POWER_CANDIDATES = 400
+INVOLUTION_HEIGHT = 40000
 
 
 @dataclass
@@ -72,7 +77,6 @@ class Subgroup:
     label: str
     gens: list
     domain: object                  # StripDomain | PrismDomain
-    x: QuadValue | None = None      # half-space coset point
 
 
 @dataclass
@@ -112,10 +116,6 @@ class Certificate:
     enumeration_stats: dict
     verdict: str
     reasons: list
-
-
-def _translation(m) -> MoebiusElement:
-    return MoebiusElement(1, qv(m), 0, 1)
 
 
 def _split_two_gen(gens):
@@ -244,11 +244,8 @@ def bianchi_deltas(d: int):
 
 def free_segments(domain: StripDomain):
     """Maximal open segments of the strip's real trace off all disk shadows."""
-    shadows = []
-    for disk, _ in domain.excluded:
-        r = sqrt_qv(disk.radius_sq)
-        shadows.append((disk.center - r, disk.center + r))
-    shadows.sort(key=lambda s: s[0])
+    shadows = sorted((_shadow(disk) for disk, _ in domain.excluded),
+                     key=lambda s: s[0])
     merged = []
     for lo, hi in shadows:
         if merged and lo.cmp_real(merged[-1][1]) <= 0:
@@ -278,17 +275,13 @@ def pad_intervals(domains, conjugators):
     extents = []
     for domain, alpha in zip(domains, conjugators):
         da = isometric_disk(alpha)
-        dai = isometric_disk(alpha.inv())
-        r = sqrt_qv(da.radius_sq)
-        lo = da.center - r
-        hi = da.center + r
-        for disk in (dai,):
-            rr = sqrt_qv(disk.radius_sq)
-            if (disk.center - rr).cmp_real(lo) < 0:
-                lo = disk.center - rr
-            if (disk.center + rr).cmp_real(hi) > 0:
-                hi = disk.center + rr
-        extents.append((lo, hi, r, domain))
+        lo, hi = _shadow(da)
+        inv_lo, inv_hi = _shadow(isometric_disk(alpha.inv()))
+        if inv_lo.cmp_real(lo) < 0:
+            lo = inv_lo
+        if inv_hi.cmp_real(hi) > 0:
+            hi = inv_hi
+        extents.append((lo, hi, sqrt_qv(da.radius_sq), domain))
     order = sorted(range(len(extents)), key=lambda i: extents[i][0])
     results = [None] * len(extents)
     for pos, i in enumerate(order):
@@ -378,16 +371,15 @@ def _interval_ints(interval) -> tuple[int, int, int, int]:
 
 
 def find_power_conjugator(c_modulus: int, interval, max_height: int = 120,
-                          max_power: int = 24,
-                          max_candidates: int = 400) -> MoebiusElement:
+                          max_power: int = 24) -> MoebiusElement:
     """Search for a power of a hyperbolic element whose disks fit the interval.
 
     Scans integer matrices with lower-left entry divisible by c_modulus and
     entries bounded by max_height for a hyperbolic element with both fixed
     points inside (x, y), decided by exact sign evaluations; returns the
     least power whose isometric disk pair fits strictly inside.  The number
-    of fixed-point candidates whose powers are ground out is capped to keep
-    the search budget predictable.
+    of fixed-point candidates whose powers are ground out is capped at
+    POWER_CANDIDATES to keep the search budget predictable.
     """
     xn, xd, yn, yd = _interval_ints(interval)
     if not xn * yd < yn * xd:
@@ -425,19 +417,19 @@ def find_power_conjugator(c_modulus: int, interval, max_height: int = 120,
                                           pc * a + pd * c, pc * b + pd * d)
                     if pc != 0 and _int_disks_fit(pa, pb, pc, pd, xn, xd, yn, yd):
                         return from_ints(pa, pb, pc, pd)
-                if tried >= max_candidates:
+                if tried >= POWER_CANDIDATES:
                     raise SearchExhausted(
-                        f"no fitting power among the first {max_candidates} "
+                        f"no fitting power among the first {POWER_CANDIDATES} "
                         "fixed-point candidates")
     raise SearchExhausted(
         f"no hyperbolic power conjugator within height {max_height}")
 
 
-def find_involution_conjugator(c_modulus: int, interval,
-                               max_height: int = 40000) -> MoebiusElement:
-    """Search for a trace-zero element whose single disk fits the interval."""
+def find_involution_conjugator(c_modulus: int, interval) -> MoebiusElement:
+    """Search for a trace-zero element whose single disk fits the interval,
+    with lower-left entry up to INVOLUTION_HEIGHT."""
     xn, xd, yn, yd = _interval_ints(interval)
-    for c in range(c_modulus, max_height + 1, c_modulus):
+    for c in range(c_modulus, INVOLUTION_HEIGHT + 1, c_modulus):
         # a runs over the integers from floor(x*c) to y*c
         a = xn * c // xd
         while a * yd <= yn * c:
@@ -445,7 +437,8 @@ def find_involution_conjugator(c_modulus: int, interval,
                                                        c, -a, xn, xd, yn, yd):
                 return from_ints(a, -(a * a + 1) // c, c, -a)
             a += 1
-    raise SearchExhausted(f"no involution conjugator within height {max_height}")
+    raise SearchExhausted(
+        f"no involution conjugator within height {INVOLUTION_HEIGHT}")
 
 
 def _search_conjugator(c_modulus, interval, notes, label):
@@ -497,13 +490,11 @@ def build(target: str, param: int | None = None, *,
 
 
 def _modular_strip(gens):
-    """The strip from -1 to 4 bounded by the first generator's circles."""
-    m, g2 = _split_two_gen(gens)
-    excluded = [(isometric_disk(g2), g2)]
-    inv_disk = isometric_disk(g2.inv())
-    if not excluded[0][0].same_circle(inv_disk):
-        excluded.append((inv_disk, g2.inv()))
-    return StripDomain(Fraction(3, 2), Fraction(5, 2), _translation(m), excluded)
+    """The two-generator domain of gens, re-centred on the strip from -1
+    to 4."""
+    domain = build_ford_two_gen(*_split_two_gen(gens))
+    return StripDomain(Fraction(3, 2), Fraction(5, 2), domain.translation,
+                       domain.excluded)
 
 
 def _build_modular() -> Construction:
@@ -636,7 +627,7 @@ def bianchi_prism(d: int, x: QuadValue) -> PrismDomain:
     excluded = []
     seen = set()
     for base, from_zero in ((QuadValue(0), True), (x, False)):
-        for center in sphere_translates_meeting_prism(prism, [base]):
+        for center in sphere_translates_meeting_prism(prism, base):
             key = (center.a, center.b)
             if key in seen:
                 continue
@@ -660,7 +651,7 @@ def _build_bianchi(d: int) -> Construction:
     t3 = from_ints(1, 3, 0, 1)
     t3w = MoebiusElement(1, 3 * om, 0, 1)
     subgroups = [Subgroup(f"P[{x}]", [MoebiusElement(x, -1, 1, 0), t3, t3w],
-                          bianchi_prism(d, x), x=x) for x in xs]
+                          bianchi_prism(d, x)) for x in xs]
     prism0 = subgroups[0].domain        # the coset x = 0
     conjugators = [None]
     notes = []
@@ -684,12 +675,13 @@ def _build_bianchi(d: int) -> Construction:
 
 
 def coset_cover_check(subgroups) -> CheckRecord:
-    """The +-coset points of the subgroups must cover all nine residues mod
-    the 3-lattice."""
+    """The +-coset points x of the subgroups, read off their coset
+    generators [[x, -1], [1, 0]], must cover all nine residues mod the
+    3-lattice."""
     residues = set()
     for sub in subgroups:
         for sign in (1, -1):
-            u, v, n = omega_ints(sign * sub.x, sub.domain.d)
+            u, v, n = omega_ints(sign * sub.gens[0].a, sub.domain.d)
             residues.add((u // n % 3, v // n % 3))
     ok = len(residues) == 9
     return CheckRecord("coset_cover_mod_3", "pass" if ok else "fail",
@@ -775,20 +767,17 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
 
     coverage = None
     coverage_note = None
-    stats = {"states": 0, "max_len": 0}
+    stats = {}
     try:
         union = {}
         for sub in construction.subgroups:
             result = enumerate_traces(sub.gens, max_word_len, bound,
                                       state_cap=state_cap)
-            stats["states"] += result.states_explored
-            stats["max_len"] = max(stats["max_len"], result.max_len_reached)
             for t, w in result.traces.items():
                 union.setdefault(t, f"{sub.label}:{w}")
         cross_len = min(max_word_len, CROSS_CHECK_LEN)
         cross = enumerate_traces(construction.combined_gens, cross_len, bound,
                                  state_cap=state_cap)
-        stats["states"] += cross.states_explored
         for t, w in cross.traces.items():
             union.setdefault(t, f"H:{w}")
         expected = expected_set(construction.model, bound)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import isqrt
 
 from fordlab.exactnum import (
     MixedRadicand,
@@ -157,7 +157,6 @@ class StripDomain:
         self.center = center
         self.halfwidth = halfwidth
         self.translation = translation
-        self.period = period
         self.excluded = list(excluded)
         self.variant = variant
         for disk, _ in self.excluded:
@@ -184,6 +183,12 @@ class StripDomain:
                 f"disks={len(self.excluded)})")
 
 
+def _shadow(disk: IsometricDisk) -> tuple[QuadValue, QuadValue]:
+    """The disk's real shadow (center - r, center + r)."""
+    r = sqrt_qv(disk.radius_sq)
+    return disk.center - r, disk.center + r
+
+
 def _edge_expr(disk: IsometricDisk, x: QuadValue, side: int) -> RadicalExpr:
     """side=+1: (x - right edge); side=-1: (left edge - x)."""
     if side > 0:
@@ -202,8 +207,8 @@ def build_ford_two_gen(m, g2: MoebiusElement) -> StripDomain:
 
     Certifies either the classic inequalities (|a+d|/|c| < |m|/2 and
     |m| > 4/|c|) or the sharp period-fit test (union extent of the two
-    isometric disks strictly under the period, with the self-domain
-    condition).  The returned domain records which variant fired.
+    isometric disks strictly under the period).  The returned domain
+    records which variant fired.
     """
     m = qv(m)
     if not m.is_real:
@@ -220,13 +225,6 @@ def build_ford_two_gen(m, g2: MoebiusElement) -> StripDomain:
     disk_inv = isometric_disk(g2.inv())
     trace = g2.trace()
     involution = trace.is_zero()
-
-    # self-domain condition: real trace, or strictly disjoint own disks
-    self_ok = trace.is_real or disks_disjoint(disk, disk_inv) == Disjointness.DISJOINT
-    if not self_ok:
-        raise LemmaViolation(
-            "single-element domain condition fails: non-real trace with "
-            "intersecting isometric circles")
 
     c2 = (g2.c * g2.c)          # |c|^2 as a real value
     t2 = trace * trace
@@ -338,7 +336,6 @@ def membership_reduce(domain: StripDomain, target: MoebiusElement) -> ReduceResu
     word: list[MoebiusElement] = []
     composed = None
     trans = domain.translation
-    period = domain.period
     iterations = 0
     while iterations < REDUCE_CAP:
         offset = x - domain.center
@@ -616,27 +613,26 @@ def verify_separation(items, ambient_check,
     return checks + _disjoint_pairs("conjugator_disks_disjoint", disks)
 
 
+def _apart(name: str, left, right) -> CheckRecord:
+    """The check that every disk of ``left`` clears every disk of
+    ``right``, with margin the least separation_margin over their pairs:
+    it passes only when that margin is positive, so tangency (margin 0)
+    fails."""
+    worst = min(separation_margin(u, v) for u in left for v in right)
+    return CheckRecord(name, "pass" if worst.sign_real() > 0 else "fail",
+                       margin=worst)
+
+
 def _disjoint_pairs(name: str, groups) -> list[CheckRecord]:
-    """One check per pair of the (index, disks) groups, with margin the
-    least separation_margin over their disk pairs: disjoint only when it is
-    positive, so tangency (margin 0) fails."""
-    checks = []
-    for (i, left), (j, right) in combinations(groups, 2):
-        worst = min(separation_margin(u, v) for u in left for v in right)
-        checks.append(CheckRecord(f"{name}[{i},{j}]",
-                                  "pass" if worst.sign_real() > 0 else "fail",
-                                  margin=worst))
-    return checks
+    """One ``_apart`` check per pair of the (index, disks) groups."""
+    return [_apart(f"{name}[{i},{j}]", left, right)
+            for (i, left), (j, right) in combinations(groups, 2)]
 
 
 def _interval_margin(da, dai, x, y):
     try:
-        vals = []
-        for disk in (da, dai):
-            r = sqrt_qv(disk.radius_sq)
-            vals.append(disk.center - r - x)
-            vals.append(y - disk.center - r)
-        return min(vals)
+        return min(v for lo, hi in map(_shadow, (da, dai))
+                   for v in (lo - x, y - hi))
     except MixedRadicand:
         return None
 
@@ -679,21 +675,11 @@ def _lattice_translates(prism: PrismDomain, z: QuadValue) -> list[tuple]:
             for j, k in _WIDE_OFFSETS]
 
 
-def sphere_translates_meeting_prism(prism: PrismDomain,
-                                    bases: list[QuadValue],
-                                    radius_sq: Fraction = Fraction(1)):
-    """Lattice translates of the base centers whose spheres meet the prism."""
-    centers = []
-    seen = set()
-    for base in bases:
-        for u, v, n in _lattice_translates(prism, qv(base)):
-            g = gcd(u, v, n)
-            key = (u // g, v // g, n // g)
-            if key in seen:
-                continue
-            seen.add(key)
-            if _prism_dist_sq(prism, u, v, n) <= radius_sq:
-                centers.append(omega_value(u, v, n, prism.d))
+def sphere_translates_meeting_prism(prism: PrismDomain, base: QuadValue):
+    """Lattice translates of base whose unit spheres meet the prism."""
+    centers = [omega_value(u, v, n, prism.d)
+               for u, v, n in _lattice_translates(prism, qv(base))
+               if _prism_dist_sq(prism, u, v, n) <= 1]
     centers.sort(key=lambda c: (c.a, c.b))
     return centers
 
@@ -713,11 +699,6 @@ def _spheres_apart(sa, sb, d: int) -> int:
         return -1
     t = x * x - 4 * a * b
     return (t > 0) - (t < 0)
-
-
-def _sphere(disk: IsometricDisk, d: int) -> tuple:
-    """The disk as a sphere (u, v, n, r^2) of ``_spheres_apart``."""
-    return (*omega_ints(disk.center, d), disk.radius_sq)
 
 
 def bianchi_separation_check(items, horizon: int = 50) -> list[CheckRecord]:
@@ -761,7 +742,6 @@ def bianchi_separation_check(items, horizon: int = 50) -> list[CheckRecord]:
                                       witnesses={"error": "FixesInfinity"}))
             continue
         ddisk = isometric_disk(delta)
-        sphere = _sphere(ddisk, d)
         delta_disks.append((idx, [ddisk]))
 
         ok, margin2 = ball_strictly_in_prism(ddisk, domain)
@@ -772,13 +752,11 @@ def bianchi_separation_check(items, horizon: int = 50) -> list[CheckRecord]:
 
         # with delta's ball inside the cell, a unit sphere meeting it has its
         # centre within 1 of the cell: one of the domain's excluded spheres
-        units = [disk for disk, _ in domain.excluded]
-        clear = all(_spheres_apart(sphere, _sphere(u, d), d) > 0 for u in units)
-        worst = min((separation_margin(ddisk, u) for u in units), default=None)
-        checks.append(CheckRecord(f"delta_clears_unit_spheres{label}",
-                                  "pass" if clear else "fail", margin=worst))
+        checks.append(_apart(f"delta_clears_unit_spheres{label}", [ddisk],
+                             [disk for disk, _ in domain.excluded]))
 
         if scan is not None:
+            sphere = (*omega_ints(ddisk.center, d), ddisk.radius_sq)
             scan_ok = all(
                 _spheres_apart(sphere, (*c, disk.radius_sq), d) > 0
                 for n, dk, dki in scan.entries
@@ -788,7 +766,8 @@ def bianchi_separation_check(items, horizon: int = 50) -> list[CheckRecord]:
                                       "pass" if scan_ok else "fail",
                                       witnesses={"scanned": len(scan.entries)}))
             if scan.growing:
-                tail_ok = True
+                # per centre: True if clear, False if not, None if undecided
+                clears = []
                 cap_norm = scan.norms[-1][1]
                 for base in (QuadValue(0), x):
                     for c in _lattice_translates(domain, base):
@@ -798,11 +777,11 @@ def bianchi_separation_check(items, horizon: int = 50) -> list[CheckRecord]:
                                                 (-1, ddisk.radius_sq),
                                                 (-2, Fraction(1) / cap_norm)))
                         try:
-                            if expr.sign() <= 0:
-                                tail_ok = False
+                            clears.append(expr.sign() > 0)
                         except PrecisionExhausted:
-                            tail_ok = None
-                status = {True: "pass", False: "fail", None: "undecided"}[tail_ok]
+                            clears.append(None)
+                status = ("fail" if False in clears
+                          else "undecided" if None in clears else "pass")
                 checks.append(CheckRecord(
                     f"power_tail{label}", status,
                     witnesses={"assumption": "monotone growth of |c(g^n)|^2",

@@ -95,7 +95,7 @@ def test_build_principal_sets():
 def test_build_bianchi_deltas():
     c = build("bianchi", 5)
     om = bianchi_omega(5)
-    by_x = {str(sub.x): alpha for sub, alpha in zip(c.subgroups, c.conjugators)}
+    by_x = {str(sub.gens[0].a): alpha for sub, alpha in zip(c.subgroups, c.conjugators)}
     assert by_x[str(om)] == from_ints(7, -10, 5, -7)
     assert by_x["0"] is None
 
@@ -265,3 +265,18 @@ def test_bianchi_build_makes_one_prism_per_coset(monkeypatch, d):
     monkeypatch.setattr(fordlab.constructions, "bianchi_prism", spy)
     c = build("bianchi", d)
     assert calls == bianchi_x_values(d)
+
+
+@pytest.mark.parametrize("target, param", [
+    ("modular", None), ("gamma0", 5), ("principal", 7), ("normalizer", 7),
+    ("bianchi", 1), ("bianchi", 3), ("bianchi", 19)])
+def test_every_margin_check_passes_exactly_when_its_margin_is_positive(
+        target, param):
+    """The one rule of every disk, sphere, interval and prism check: pass
+    exactly when the margin it reports is positive, so tangency fails."""
+    cert = verify_construction(build(target, param), bound=4, max_word_len=2)
+    with_margin = [c for c in cert.checks if c.margin is not None]
+    assert with_margin
+    assert [(c.name, c.status) for c in with_margin] == [
+        (c.name, "pass" if c.margin.sign_real() > 0 else "fail")
+        for c in with_margin]

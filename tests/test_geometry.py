@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fordlab.geometry
-from fordlab.exactnum import QuadValue, RadicalExpr, qv, sqrt_qv
+from fordlab.exactnum import (
+    PrecisionExhausted,
+    QuadValue,
+    RadicalExpr,
+    qv,
+    sqrt_qv,
+)
 from fordlab.geometry import (
     CheckRecord,
     Disjointness,
@@ -298,7 +304,7 @@ def test_prism_geometry():
     assert _prism_dist_sq(prism, *omega_ints(QuadValue(1) + om, 5)) == 0
     far = QuadValue(20) + om * 9
     assert _prism_dist_sq(prism, *omega_ints(far, 5)) > 0
-    centers = sphere_translates_meeting_prism(prism, [QuadValue(0)])
+    centers = sphere_translates_meeting_prism(prism, QuadValue(0))
     assert QuadValue(0) in centers and QuadValue(3) in centers
 
 
@@ -346,7 +352,8 @@ def test_bianchi_separation_d3_family_set_diagnostic():
     }
     items = []
     for sub in c.subgroups:
-        delta = None if sub.x.is_zero() else family[str(sub.x)]
+        x = sub.gens[0].a
+        delta = None if x.is_zero() else family[str(x)]
         items.append((sub.domain, sub.gens, delta))
     checks = bianchi_separation_check(items, horizon=20)
     assert isinstance(checks[0], CheckRecord)
@@ -391,7 +398,7 @@ def test_unit_sphere_margin_is_least_over_wide_translates(d):
         disk = isometric_disk(delta)
         want = min(sqrt_qv((disk.center - tau).abs2())
                    - sqrt_qv(disk.radius_sq) - 1
-                   for base in (QuadValue(0), sub.x)
+                   for base in (QuadValue(0), sub.gens[0].a)
                    for tau in _seed_translates(sub.domain, base))
         assert checks[f"delta_clears_unit_spheres[{idx}]"].margin == want
 
@@ -402,11 +409,46 @@ def test_degenerate_delta_with_nonzero_trace_fails():
     om = bianchi_omega(5)
     items = []
     for sub in c.subgroups:
-        delta = None if sub.x.is_zero() else from_ints(2, -1, 1, 0)
+        delta = None if sub.gens[0].a.is_zero() else from_ints(2, -1, 1, 0)
         items.append((sub.domain, sub.gens, delta))
     checks = bianchi_separation_check(items, horizon=10)
     assert any(c_.name.startswith("delta_involution") and c_.status == "fail"
                for c_ in checks)
+
+
+def test_power_tail_fails_when_any_centre_fails(monkeypatch):
+    """A definite tail failure on one centre decides power_tail even when a
+    later centre's sign raises PrecisionExhausted; a check whose centres
+    only raise is undecided."""
+    from fordlab.constructions import build
+    items = _bianchi_items(build("bianchi", 1))
+    before = {ch.name: ch.status for ch in bianchi_separation_check(
+        items, horizon=10)}
+    assert [before["power_tail[2]"], before["power_tail[3]"]] == ["pass"] * 2
+    signs = []
+
+    class TailExpr(RadicalExpr):
+        # the tail test sqrt(dist2) - 1 - r_delta - 2/sqrt(cap_norm) is the
+        # only expression built from -1 and three radicals; its first sign
+        # fails and every later one raises
+        def __init__(self, base=0, terms=()):
+            super().__init__(base, terms)
+            self.tail = base == -1 and len(terms) == 3
+
+        def sign(self):
+            if not self.tail:
+                return super().sign()
+            signs.append(self)
+            if len(signs) == 1:
+                return -1
+            raise PrecisionExhausted("forced")
+
+    monkeypatch.setattr(fordlab.geometry, "RadicalExpr", TailExpr)
+    after = {ch.name: ch.status for ch in bianchi_separation_check(
+        items, horizon=10)}
+    assert len(signs) > 2
+    assert [after["power_tail[2]"], after["power_tail[3]"]] == [
+        "fail", "undecided"]
 
 
 def test_circle_mapping_identity_random():
@@ -671,14 +713,14 @@ def _seed_translates(prism, z):
     return [base0 + t1 * j + t2 * k for j in range(-2, 3) for k in range(-2, 3)]
 
 
-def _seed_translates_meeting_prism(prism, bases, radius_sq):
+def _seed_translates_meeting_prism(prism, base):
+    # deduplicated, so that equal results show the 25 translates distinct
     centers, seen = [], set()
-    for base in bases:
-        for z in _seed_translates(prism, base):
-            if (z.a, z.b) not in seen:
-                seen.add((z.a, z.b))
-                if _seed_point_prism_dist_sq(z, prism) <= radius_sq:
-                    centers.append(z)
+    for z in _seed_translates(prism, base):
+        if (z.a, z.b) not in seen:
+            seen.add((z.a, z.b))
+            if _seed_point_prism_dist_sq(z, prism) <= 1:
+                centers.append(z)
     centers.sort(key=lambda c: (c.a, c.b))
     return centers
 
@@ -697,11 +739,8 @@ def _prism_for(d, anchor):
 @settings(max_examples=200, deadline=None)
 @given(d=st.sampled_from(_RINGS),
        anchor=st.none() | st.tuples(_RATS, _RATS), points=st.lists(
-           st.tuples(_CELL, _CELL), min_size=1, max_size=4),
-       radius_sq=st.sampled_from([Fraction(0), Fraction(1, 9), Fraction(1),
-                                  Fraction(7, 2)]))
-def test_prism_predicates_on_integers_match_quadvalue_forms(d, anchor, points,
-                                                            radius_sq):
+           st.tuples(_CELL, _CELL), min_size=1, max_size=4))
+def test_prism_predicates_on_integers_match_quadvalue_forms(d, anchor, points):
     if anchor is not None:
         anchor = QuadValue(anchor[0], anchor[1], -d)
     prism = _prism_for(d, anchor)
@@ -712,10 +751,10 @@ def test_prism_predicates_on_integers_match_quadvalue_forms(d, anchor, points,
                 == _seed_point_prism_dist_sq(z, prism))
         assert [omega_value(*c, d) for c in _lattice_translates(prism, z)] \
             == _seed_translates(prism, z)
-    got = sphere_translates_meeting_prism(prism, zs, radius_sq)
-    want = _seed_translates_meeting_prism(prism, zs, radius_sq)
-    assert got == want
-    assert [(c.a, c.b) for c in got] == [(c.a, c.b) for c in want]
+        got = sphere_translates_meeting_prism(prism, z)
+        want = _seed_translates_meeting_prism(prism, z)
+        assert got == want
+        assert [(c.a, c.b) for c in got] == [(c.a, c.b) for c in want]
 
 
 # mostly inside the cell, where several walls may fail and the first

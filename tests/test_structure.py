@@ -70,3 +70,68 @@ def test_every_field_is_read():
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
         and stmt.target.id not in read)
     assert not unread, "fields never read:\n" + "\n".join(unread)
+
+
+def _defaulted_params(tree):
+    """(callee name, parameter name, positional index or None) of every
+    defaulted parameter of the tree's functions and methods, with the index
+    counted as a call passes arguments: past self or cls for methods, and
+    a class's ``__init__`` called by the class name."""
+    for cls in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = fn.name
+            if name == "__init__" and isinstance(cls, ast.ClassDef):
+                name = cls.name
+            elif name.startswith("__") and name.endswith("__"):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = isinstance(cls, ast.ClassDef) and not static
+            positional = [*fn.args.posonlyargs, *fn.args.args][skip:]
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield name, arg.arg, i
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def _calls(tree):
+    """(callee name, positional count, keyword names) of every call; a
+    ``*`` or ``**`` argument counts as passing every position or name."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        yield (name, float("inf") if starred else len(node.args),
+               keywords)
+
+
+def test_every_default_is_set_somewhere():
+    """A defaulted parameter of a package function or method that no call
+    in src/, tests/ or bench/ sets, by keyword or by position, is a
+    constant in disguise."""
+    calls = {}
+    for _, tree in _trees(SCANNED):
+        for name, count, keywords in _calls(tree):
+            calls.setdefault(name, []).append((count, keywords))
+
+    def is_set(name, param, index):
+        return any(None in keywords or param in keywords
+                   or (index is not None and count > index)
+                   for count, keywords in calls.get(name, []))
+
+    unset = sorted(
+        f"{path.relative_to(ROOT)} {name}({param}=...)"
+        for path, tree in _trees([PACKAGE])
+        for name, param, index in _defaulted_params(tree)
+        if not is_set(name, param, index))
+    assert not unset, "defaults no call sets:\n" + "\n".join(unset)
