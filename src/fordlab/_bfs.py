@@ -23,9 +23,15 @@ numpy rows, which hold each coordinate x as the int64 pair
 x*g is linear in the row x, with one integer matrix per direction g read
 off the codec's own product.  Numpy levels apply it as int64 sums: on two
 limbs the same sums over the hi and over the lo limbs, then one carry per
-coordinate.  Every level keeps the first occurrence of each new row in
-generation order, found by row hash on numpy levels and by a set on
-Python-int and exact levels.  So each state's link names the first
+coordinate.  A frontier row skips the directions that can only repeat
+another candidate: the inverse of the direction that reached it, and the
+earlier directions that commute with that one (see ``_Search``).  Every
+level keeps the first occurrence of each new row in generation order,
+found by row hash on numpy levels and by a set on Python-int and exact
+levels.  A numpy level's row hashes are made once, with the level, and
+kept beside its rows; the last level keeps only its hashes and its
+in-bound rows, and rebuilds from its links the few candidates whose hash
+it shares with another row.  So each state's link names the first
 direction that reaches it from the level before, and each trace is
 witnessed by the least state, in numeric row order, that has it.
 """
@@ -216,32 +222,35 @@ _HASH_MULS = [np.uint64(_mix64(k * 0x9E3779B97F4A7C15 & _MASK64) | 1)
               for k in range(1, 17)]
 
 
-def _row_hash(rows):
-    """A uint64 hash of each int64 row: the sum of its columns times fixed
-    odd constants, mod 2**64, then ``_mix64``, so that the top bits depend
-    on every bit of the row.  Equal rows hash equal; callers compare rows
-    that share a hash exactly."""
-    h = np.zeros(len(rows), dtype=np.uint64)
+def _row_hash(cols):
+    """A uint64 hash of each int64 row, given as its columns (``rows.T``
+    of a level, or the flat columns of candidates): the sum of its columns
+    times fixed odd constants, mod 2**64, then ``_mix64``, so that the top
+    bits depend on every bit of the row.  Equal rows hash equal; callers
+    compare rows that share a hash exactly."""
+    h = np.zeros(len(cols[0]), dtype=np.uint64)
     term = np.empty_like(h)
-    for col, mul in zip(rows.T, _HASH_MULS):
+    for col, mul in zip(cols, _HASH_MULS):
         np.multiply(col.view(np.uint64), mul, out=term)
         h += term
     return _mix64(h)
 
 
-def _first_rows(rows, hashes):
-    """A mask over int64 rows, given their ``_row_hash`` values, that marks
-    the first occurrence by position of each distinct row.  The hashes are
-    overwritten.
+def _first_rows(hashes, gather):
+    """A mask over rows, given their ``_row_hash`` values, that marks the
+    first occurrence by position of each distinct row.  The hashes are
+    overwritten.  ``gather(pos)`` yields the int64 columns of the rows at
+    the positions pos, one column at a time.
 
     One in-place ``np.sort`` of the hashes, with the row positions packed
     into their low bits, puts rows that share the top bits of their hash
     next to each other, each run in position order.  Neighbours in such a
-    run are compared exactly.  In a run whose rows are all equal only the
-    first is marked; a run that holds two different rows is resolved with a
-    Python set over that run only.
+    run are compared exactly, on the rows of every run of two or more only.
+    In a run whose rows are all equal only the first is marked; a run that
+    holds two different rows is resolved with a Python set over that run
+    only.
     """
-    n = len(rows)
+    n = len(hashes)
     ib = (n - 1).bit_length()
     mask = np.uint64((1 << ib) - 1)
     key = hashes        # sorted in place
@@ -254,21 +263,20 @@ def _first_rows(rows, hashes):
     order = key.view(np.int64)
     first = np.insert(~eq, 0, True)     # in hash order: the run starts
     if eq.any():
-        # the rows of every run of two or more, compared column by column
-        # in hash order: a run's rows are neighbours there
+        # the rows of every run of two or more, in hash order: a run's rows
+        # are neighbours there
         members = np.flatnonzero(np.append(eq, False) | ~first)
-        pos = order[members]
         differs = np.zeros(len(members) - 1, dtype=bool)
-        for col in rows.T:
-            col = col[pos]
+        for col in gather(order[members]):
             differs |= col[1:] != col[:-1]
         bad = members[np.flatnonzero(differs & eq[members[:-1]])]
         if len(bad):
             starts = np.append(np.flatnonzero(first), n)
             for r in np.unique(np.searchsorted(starts, bad, side="right") - 1):
                 seen = set()
-                run = rows[order[starts[r]:starts[r + 1]]]
-                for at, row in enumerate(map(tuple, run.tolist()), starts[r]):
+                run = zip(*(col.tolist() for col in
+                            gather(order[starts[r]:starts[r + 1]])))
+                for at, row in enumerate(run, starts[r]):
                     first[at] = row not in seen
                     seen.add(row)
     out = np.empty(n, dtype=bool)
@@ -518,14 +526,37 @@ _INT64, _WIDE, _PY = "int64", "two-limb", "python"
 
 
 class _Search:
-    """Level-synchronous frontier search over the words in a generator set."""
+    """Level-synchronous frontier search over the words in a generator set.
+
+    The candidates of a level are the products x*g_j of the frontier rows x
+    with each direction g_j, except where ``skip[j][l]`` holds for the
+    direction l that first reached x: l is the inverse of j, so x*g_j is
+    x's parent, or l < j and g_l*g_j = g_j*g_l, so x*g_j repeats a product
+    that an earlier direction may reach.  The table is read off the codec's
+    own product once per search.  Skipping keeps every new state and its
+    link.  Let c be a new state of level L+1, j* the least direction with
+    p* = c*g_{j*}^-1 in level L, so that (j*, p*) is c's first occurrence
+    in generation order, and let p* have been reached first by direction a
+    from q in level L-1.  If a is the inverse of j*, c = q is old.  If
+    a < j* and g_a commutes with g_{j*}, then c*g_a^-1 = q*g_{j*} lies in
+    level L, against the choice of j*, or lower, and then c is old.  So
+    (j*, p*) is never skipped: the first occurrence of each new state, and
+    with it its link and the count of new states, stay as they were.
+    """
 
     def __init__(self, codec, gens, cap: int):
         self.codec = codec
-        dirs, self.labels, self.inv_idx = _directions(gens)
+        dirs, self.labels, inv_idx = _directions(gens)
         self.dirs = [self.codec.entries(g) for g in dirs]
         self.width = len(codec.ident)    # coordinates per integer row
         self.cap = cap
+        # column len(dirs) stands for the identity's last direction, -1
+        self.skip = np.zeros((len(dirs), len(dirs) + 1), dtype=bool)
+        for j, g in enumerate(self.dirs):
+            self.skip[j, inv_idx[j]] = True
+            for l, h in enumerate(self.dirs[:j]):
+                if codec.mul(h, g) == codec.mul(g, h):
+                    self.skip[j, l] = True
         if not isinstance(codec, _ExactCodec):
             # x*g as linear forms in the row x: row i of g's matrix, read off
             # the codec's own product of the unit rows with g, is coordinate i
@@ -595,10 +626,14 @@ class _Search:
             frontier = np.array(frontier, dtype=np.int64)
             last = np.array(last, dtype=np.int16)
         older = frontier[:0]    # level L-2, in the form of the frontier
+        if kind is _INT64:
+            # the row hashes of older and of the frontier
+            hashes = [_row_hash(older.T), _row_hash(frontier.T)]
         for level in range(1, max_len + 1):
             step = self._kind(kind, frontier)
             if step is _WIDE and kind is _INT64:
                 frontier, older = _widen(frontier), _widen(older)
+                hashes = [_row_hash(older.T), _row_hash(frontier.T)]
             elif step is _PY and kind is not _PY:
                 frontier = _py_rows(frontier, self.width)
                 older = _py_rows(older, self.width)
@@ -608,8 +643,9 @@ class _Search:
                 rows, links = self._py_level(frontier, last, older)
                 new = len(rows)
             else:
-                rows, links, new = self._np_level(frontier, last, older,
-                                                  level == max_len)
+                rows, row_hashes, links, new = self._np_level(
+                    frontier, last, older, hashes, level == max_len)
+                hashes = [hashes[1], row_hashes]
             older = frontier
             if not new:
                 break
@@ -622,91 +658,146 @@ class _Search:
                 raise StateExplosion(
                     f"state count {self.states} exceeds cap {self.cap}")
 
-    def _candidates(self, frontier, last):
+    def _keeps(self, last):
+        # per direction j, the mask of the frontier rows x that j does not
+        # skip: the last direction of x is none that skip[j] marks
+        keeps = []
+        for marks in self.skip:
+            keep = np.ones(len(last), dtype=bool)
+            for l in np.flatnonzero(marks).tolist():
+                keep &= last != l
+            keeps.append(keep)
+        return keeps
+
+    def _candidates(self, frontier, keeps):
         # per direction j, the columns of the canonical products x*dirs[j]
-        # over the frontier rows x not reached by the inverse step; each
-        # masked copy has contiguous columns and dies with np_mul; the
-        # transpose of a column-major level is a view, not a copy
+        # over the frontier rows x that j does not skip; each masked copy
+        # has contiguous columns and dies with np_mul; the transpose of a
+        # column-major level is a view, not a copy
         block = np.ascontiguousarray(frontier.T)
-        for j, (gen, form) in enumerate(zip(self.dirs, self.forms)):
-            keep = last != self.inv_idx[j]
+        for j, (gen, form, keep) in enumerate(zip(self.dirs, self.forms,
+                                                  keeps)):
             if keep.any():
-                yield j, keep, self.codec.np_mul(
+                yield j, self.codec.np_mul(
                     _columns(np.compress(keep, block, axis=1).T, self.width),
                     gen, form)
 
-    def _np_level(self, frontier, last, older, final=False):
-        """The level after ``frontier`` on numpy rows, as (rows, links,
-        number of new states): its new rows in generation order, and per
-        row the direction that reached it first and the index of its parent
-        in the frontier.  The ``final`` level is never a frontier, so only
-        its in-bound rows, which may witness a trace, are returned.
+    def _np_level(self, frontier, last, older, hashes, final=False):
+        """The level after ``frontier`` on numpy rows, as (rows, hashes,
+        links, number of new states): its new rows in generation order with
+        their row hashes, and per row the direction that reached it first
+        and the index of its parent in the frontier.  ``hashes`` holds the
+        row hashes of ``older`` and of the frontier.  The ``final`` level is
+        never a frontier, so only its in-bound rows, which may witness a
+        trace, are returned.
 
         Numpy levels are column-major, so that each column is contiguous.
-        The rows of the two old levels and then each direction's candidates
-        are copied once into one array, with their hashes.  ``_first_rows``
-        marks the first occurrence of each row.  The two old levels come
-        first and are disjoint and deduplicated, so the marked candidates
-        are the new states, each at the least direction j that reaches it;
-        its parent is the frontier row x with x*dirs[j] the row, unique
-        since rows are canonical.
+        The hashes of the two old levels, then of each direction's
+        candidates, hashed as they are made, go into one array, and
+        ``_first_rows`` marks the first occurrence of each row.  The two old
+        levels come first and are disjoint and deduplicated, so the marked
+        candidates are the new states, each at the least direction j that
+        reaches it; its parent is the frontier row x with x*dirs[j] the
+        row, unique since rows are canonical.  A direction keeps its
+        candidate rows only where they may be returned: all of them, or on
+        the final level the in-bound ones.  The exact compares of rows that
+        share a hash read the old levels in place and rebuild candidates
+        from their links (``_gather``).
         """
         n_old = len(older) + len(frontier)
-        # every frontier row but the identity was reached by one direction
-        # and skips the one step back, its inverse
-        n = (n_old + len(self.dirs) * len(frontier)
-             - int(np.count_nonzero(last >= 0)))
+        keeps = self._keeps(last)
+        n = n_old + sum(map(int, map(np.count_nonzero, keeps)))
         if n == n_old:
-            return frontier[:0], (last[:0], np.arange(0)), 0
-        rows = np.empty((n, frontier.shape[1]), dtype=np.int64, order="F")
-        hashes = np.empty(n, dtype=np.uint64)
-        in_bound = np.empty(n - n_old, dtype=bool) if final else None
-        # per direction: its frontier rows, as a mask, and its span
-        sources = []
-        at = 0
-        for part in (older, frontier):
-            end = at + len(part)
-            rows[at:end] = part
-            hashes[at:end] = _row_hash(rows[at:end])
-            at = end
-        for j, src, cols in self._candidates(frontier, last):
+            return frontier[:0], hashes[1][:0], (last[:0], np.arange(0)), 0
+        key = np.empty(n, dtype=np.uint64)
+        key[:len(older)], key[len(older):n_old] = hashes
+        # per direction: j, its span in key, the mask of the candidates it
+        # keeps (None: all), and their flat columns and hashes
+        parts = []
+        at = n_old
+        for j, cols in self._candidates(frontier, keeps):
             flat = _flat(cols)
-            end = at + len(flat[0])
-            for k, col in enumerate(flat):
-                rows[at:end, k] = col
-            hashes[at:end] = _row_hash(rows[at:end])
+            part_hashes = _row_hash(flat)
+            end = at + len(part_hashes)
+            key[at:end] = part_hashes
+            kept = None
             if final:
-                in_bound[at - n_old:end - n_old] = self.codec.np_in_bound(
+                kept = self.codec.np_in_bound(
                     _linear(cols, self.codec.trace_form))
-            sources.append((j, src, at, end))
+                flat = [col[kept] for col in flat]
+                part_hashes = part_hashes[kept]
+            parts.append((j, at, end, kept, flat, part_hashes))
             at = end
-            del cols, flat      # before the next direction's products
+            del cols        # before the next direction's products
         assert at == n
-        keep = _first_rows(rows, hashes)
-        del hashes
-        keep[:n_old] = False
-        new = int(np.count_nonzero(keep))
-        if final:
-            keep[n_old:] &= in_bound
-        out = np.compress(keep, rows.T, axis=1).T
-        del rows
-        parents = [np.flatnonzero(src)[keep[at:end]]
-                   for _, src, at, end in sources]
-        dirs = np.repeat(np.array([j for j, *_ in sources], dtype=np.int16),
-                         list(map(len, parents)))
-        return out, (dirs, np.concatenate(parents)), new
+        starts = np.array([0, len(older)] + [p[1] for p in parts])
+        # the columns of each span, or on the final level the direction
+        # whose candidates are rebuilt
+        sources = [older.T, frontier.T] + [
+            j if final else flat for j, _, _, _, flat, _ in parts]
+        first = _first_rows(key, lambda pos: self._gather(
+            pos, starts, sources, frontier, keeps))
+        del key
+        new = int(np.count_nonzero(first[n_old:]))
+        # per direction: its columns, which of its kept rows are new, and
+        # their hashes and links
+        news = []
+        for j, at, end, kept, flat, part_hashes in parts:
+            pick, parents = first[at:end], np.flatnonzero(keeps[j])
+            if kept is not None:
+                pick, parents = pick[kept], parents[kept]
+            news.append((flat, pick, part_hashes[pick], parents[pick]))
+        sizes = [len(new_parents) for *_, new_parents in news]
+        rows = np.empty((sum(sizes), frontier.shape[1]), dtype=np.int64,
+                        order="F")
+        at = 0
+        for (flat, pick, _, _), size in zip(news, sizes):
+            for k, col in enumerate(flat):
+                col.compress(pick, out=rows[at:at + size, k])
+            at += size
+        dirs = np.repeat(np.array([j for j, *_ in parts], dtype=np.int16),
+                         sizes)
+        return (rows, np.concatenate([h for _, _, h, _ in news]),
+                (dirs, np.concatenate([p for *_, p in news])), new)
+
+    def _gather(self, pos, starts, sources, frontier, keeps):
+        """The int64 columns of the rows at positions pos of a level's hash
+        array, yielded one column at a time.  The array holds, from each of
+        ``starts`` on, the rows of ``sources``: columns, read in place, or
+        a direction j, whose candidates are rebuilt from their links, one
+        batch per direction."""
+        part = np.searchsorted(starts, pos, side="right") - 1
+        batches = []        # (where in pos, columns, their rows)
+        for s in np.unique(part).tolist():
+            where = np.flatnonzero(part == s)
+            idx = pos[where] - starts[s]
+            source = sources[s]
+            if isinstance(source, int):
+                parents = np.flatnonzero(keeps[source])[idx]
+                cols = self.codec.np_mul(
+                    _columns(frontier[parents], self.width),
+                    self.dirs[source], self.forms[source])
+                batches.append((where, _flat(cols), slice(None)))
+            else:
+                batches.append((where, source, idx))
+        for k in range(frontier.shape[1]):
+            col = np.empty(len(pos), dtype=np.int64)
+            for where, cols, idx in batches:
+                col[where] = cols[k][idx]
+            yield col
 
     def _py_level(self, frontier, last, older):
         # the rule of _np_level on lists, as (rows, links): the first
         # occurrence of each row among the two old levels and then the
         # candidates, kept only if it is new, in generation order
-        mul, inv_idx = self.codec.mul, self.inv_idx
+        mul = self.codec.mul
         seen = set(older)
         seen.update(frontier)
         rows, dirs, parents = [], [], []
         for j, gen in enumerate(self.dirs):
+            skip = self.skip[j].tolist()
             for x, (state, ld) in enumerate(zip(frontier, last)):
-                if ld != inv_idx[j]:
+                if not skip[ld]:
                     row = mul(state, gen)
                     if row not in seen:
                         seen.add(row)

@@ -94,7 +94,7 @@ def certificate_report(cert: Certificate, bound, elapsed: float,
         "bound": qv_format(QuadValue(Fraction(bound))),
         "missing": [qv_format(t) for t in (cert.coverage.missing if cert.coverage else [])],
         "extra": [qv_format(t) for t in (cert.coverage.extra if cert.coverage else [])],
-        "witness_words": cert.enumeration_stats.get("witnesses", {}),
+        "witness_words": cert.witnesses,
     }
     if cert.coverage_note:
         coverage["note"] = cert.coverage_note

@@ -113,7 +113,7 @@ class Certificate:
     checks: list                    # CheckRecords, in report order
     coverage: Coverage | None
     coverage_note: str | None
-    enumeration_stats: dict
+    witnesses: dict                 # trace -> "label:word", empty if cut short
     verdict: str
     reasons: list
 
@@ -767,7 +767,7 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
 
     coverage = None
     coverage_note = None
-    stats = {}
+    witnesses = {}
     try:
         union = {}
         for sub in construction.subgroups:
@@ -782,8 +782,8 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
             union.setdefault(t, f"H:{w}")
         expected = expected_set(construction.model, bound)
         coverage = coverage_report(expected, set(union))
-        stats["witnesses"] = {str(t): union[t] for t in
-                              sorted(union, key=trace_sort_key)}
+        witnesses = {str(t): union[t] for t in
+                     sorted(union, key=trace_sort_key)}
     except StateExplosion as exc:
         coverage_note = f"StateExplosion: {exc}"
 
@@ -804,5 +804,5 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
         verdict = "Undecided"
     else:
         verdict = "Verified"
-    return Certificate(construction, checks, coverage, coverage_note, stats,
-                       verdict, reasons)
+    return Certificate(construction, checks, coverage, coverage_note,
+                       witnesses, verdict, reasons)

@@ -189,17 +189,10 @@ def _shadow(disk: IsometricDisk) -> tuple[QuadValue, QuadValue]:
     return disk.center - r, disk.center + r
 
 
-def _edge_expr(disk: IsometricDisk, x: QuadValue, side: int) -> RadicalExpr:
-    """side=+1: (x - right edge); side=-1: (left edge - x)."""
-    if side > 0:
-        base = (qv(x) - disk.center).to_radical()
-    else:
-        base = (disk.center - qv(x)).to_radical()
-    return base - RadicalExpr(0, ((1, disk.radius_sq),))
-
-
 def disk_within_interval(disk: IsometricDisk, x: QuadValue, y: QuadValue) -> bool:
-    return _edge_expr(disk, x, -1).sign() > 0 and _edge_expr(disk, y, +1).sign() > 0
+    """The disk's shadow lies strictly inside (x, y)."""
+    lo, hi = _shadow(disk)
+    return lo.cmp_real(x) > 0 and hi.cmp_real(y) < 0
 
 
 def build_ford_two_gen(m, g2: MoebiusElement) -> StripDomain:
@@ -577,13 +570,10 @@ def verify_separation(items, ambient_check,
         in_strip = (x.cmp_real(domain.left()) >= 0
                     and y.cmp_real(domain.right()) <= 0
                     and x.cmp_real(y) < 0)
-        shadow_ok = True
-        for disk, _ in domain.excluded:
-            left = _edge_expr(disk, x, +1).sign()   # x - right edge
-            right = _edge_expr(disk, y, -1).sign()  # left edge - y
-            if left < 0 and right < 0:
-                shadow_ok = False
-                break
+        # (x, y) meets no excluded disk's open shadow (lo, hi)
+        shadow_ok = all(x.cmp_real(hi) >= 0 or lo.cmp_real(y) >= 0
+                        for lo, hi in (_shadow(disk)
+                                       for disk, _ in domain.excluded))
         checks.append(CheckRecord(f"interval_in_domain{label}",
                                   "pass" if (in_strip and shadow_ok) else "fail",
                                   witnesses={"interval": (str(x), str(y))}))

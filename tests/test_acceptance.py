@@ -170,7 +170,7 @@ def test_criterion_3_principal_coverage(n):
                 f"length {PRINCIPAL_WORD_LEN[n]}")
         if cert.coverage.extra:
             failures.append(f"extra {[str(t) for t in cert.coverage.extra]}")
-        witnesses = cert.enumeration_stats.get("witnesses", {})
+        witnesses = cert.witnesses
         for t in PRINCIPAL_DEEP_TRACES.get(n, ()):
             word = witnesses.get(t, "").rpartition(":")[2]
             letters = len(word.split("*")) if word else 0
@@ -215,7 +215,7 @@ def test_criterion_4_normalizers():
                                 f"{sub.domain.variant}, expected sharp")
             if sub.domain.variant not in ("classic", "sharp"):
                 failures.append(f"p={p}: {sub.label} lacks a certificate")
-        witnesses = cert.enumeration_stats.get("witnesses", {})
+        witnesses = cert.witnesses
         for m in range(1, 11):
             if f"{m}*sqrt({p})" not in witnesses:
                 failures.append(f"p={p}: trace {m}*sqrt({p}) not enumerated")

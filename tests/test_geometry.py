@@ -823,3 +823,28 @@ def test_bianchi_conjugators_shifted_as_by_canonicalize(d):
         tau = MoebiusElement(1, t1 * js + t2 * jt, 0, 1)
         want.append(tau * delta * tau.inv())
     assert c.conjugators == want
+
+
+_SMALL_RATS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+# squared radii of isometric disks, 1/|c|^2: m*s^2/t^2 for a small
+# square-free m, as for c = t/(s*sqrt(m))
+_DISK_RADII_SQ = st.builds(lambda m, s, t: Fraction(m * s * s, t * t),
+                           st.sampled_from([1, 2, 3, 5, 7, 19]),
+                           st.integers(1, 6) | st.integers(1, 1 << 30),
+                           st.integers(1, 6) | st.integers(1, 1 << 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=_SMALL_RATS | _RATS, r2=_DISK_RADII_SQ, x=_SMALL_RATS | _RATS,
+       y=_SMALL_RATS | _RATS)
+# tangent at x, tangent at y, and strictly inside (-2, 2)
+@example(c=Fraction(0), r2=Fraction(1), x=Fraction(-1), y=Fraction(3))
+@example(c=Fraction(1, 2), r2=Fraction(1, 4), x=Fraction(-1), y=Fraction(1))
+@example(c=Fraction(0), r2=Fraction(1), x=Fraction(-2), y=Fraction(2))
+def test_disk_within_interval_on_rational_squares(c, r2, x, y):
+    """The shadow (c - r, c + r) lies strictly inside (x, y) exactly when
+    c - x and y - c are positive with squares above r^2: a tangent shadow
+    is not inside."""
+    want = (c > x and (c - x) ** 2 > r2) and (y > c and (y - c) ** 2 > r2)
+    disk = IsometricDisk(QuadValue(c), r2)
+    assert disk_within_interval(disk, QuadValue(x), QuadValue(y)) == want

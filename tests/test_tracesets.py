@@ -504,11 +504,15 @@ def test_int64_guard_is_the_per_column_bound(b, kind):
     assert search._kind("int64", frontier) == kind
     if kind == "two-limb":
         frontier = _widen(frontier)
-    got, _, new = search._np_level(frontier, np.array([-1, -1], np.int16),
-                                   frontier[:0])
+    older = frontier[:0]
+    got, hashes, _, new = search._np_level(
+        frontier, np.array([-1, -1], np.int16), older,
+        [_row_hash(older.T), _row_hash(frontier.T)])
     want = sorted({search.codec.mul(r, g) for r in rows for g in search.dirs})
     # level rows are in generation order
     assert sorted(_py_rows(got, 4)) == want and new == len(want)
+    # each new row keeps its own hash
+    assert hashes.tolist() == _row_hash(got.T).tolist()
 
 
 def test_guard_runs_with_no_directions():
@@ -585,36 +589,48 @@ def test_pair_kernel_matches_reference_on_random_bianchi(d, words, max_len,
 def _assert_collisions_change_nothing(gens, max_len, bound, low_bits,
                                       same_words=True):
     """A run whose row hash keeps only the low bits of the first column (0
-    bits: every row collides) equals the plain run and the reference, and
-    every numpy level with candidates went through that hash.  Returns the
-    row widths that the degenerate hash saw."""
+    bits: every row collides; None: the row hash itself) equals the plain
+    run and the reference, and each numpy level hashed exactly the
+    candidates that the skip table leaves.  Returns the row widths that the
+    hash saw, and the widths of the levels at max_len whose exact compares
+    rebuilt candidate rows from their links."""
     plain = enumerate_traces(gens, max_len, bound)
-    widths, levels = [], []
-    np_level = _Search._np_level
+    widths, sizes, levels, rebuilt = [], [], [], set()
+    row_hash, np_level, gather = _bfs._row_hash, _Search._np_level, _Search._gather
 
-    def degenerate(rows):
-        widths.append(rows.shape[1])
-        return rows[:, 0].view(np.uint64) & np.uint64((1 << low_bits) - 1)
+    def degenerate(cols):
+        widths.append(len(cols))
+        sizes.append(len(cols[0]))
+        if low_bits is None:
+            return row_hash(cols)
+        return cols[0].view(np.uint64) & np.uint64((1 << low_bits) - 1)
 
     def spy(self, frontier, last, *args):
-        hashed = len(widths)
+        before = len(sizes)
         out = np_level(self, frontier, last, *args)
-        # every frontier row but the identity skips one direction
-        skipped = np.count_nonzero(last >= 0)
-        candidates = len(self.dirs) * len(frontier) > skipped
-        levels.append((candidates, len(widths) > hashed))
+        # direction j multiplies the frontier rows it does not skip
+        candidates = sum(np.count_nonzero(~self.skip[j][last])
+                         for j in range(len(self.dirs)))
+        levels.append((candidates, sum(sizes[before:])))
         return out
+
+    def gather_spy(self, pos, starts, sources, frontier, *args):
+        # the candidates follow the two old levels
+        if len(self.links) == max_len and (pos >= starts[2]).any():
+            rebuilt.add(frontier.shape[1])
+        return gather(self, pos, starts, sources, frontier, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_bfs, "_row_hash", degenerate)
         mp.setattr(_Search, "_np_level", spy)
+        mp.setattr(_Search, "_gather", gather_spy)
         forced = enumerate_traces(gens, max_len, bound)
     assert all(candidates == hashed for candidates, hashed in levels)
     assert forced.traces == plain.traces
     assert forced.states_explored == plain.states_explored
     assert forced.max_len_reached == plain.max_len_reached
     _assert_matches_reference(gens, forced, max_len, bound, same_words)
-    return set(widths)
+    return set(widths), rebuilt
 
 
 @settings(max_examples=30, deadline=None)
@@ -639,6 +655,13 @@ def test_final_level_count_survives_hash_collisions_bianchi(d, words, max_len,
                                       same_words=d % 4 != 3)
 
 
+# T^3 and T^(3*omega) commute; gamma_omega = [[omega, -1], [1, 0]] and
+# L^(2**29) give relations besides, and a final level on two limbs
+_COMMUTING_TWO_LIMB = [from_ints(1, 3, 0, 1),
+                       MoebiusElement(1, bianchi_omega(1) * 3, 0, 1),
+                       MoebiusElement(bianchi_omega(1), -1, 1, 0),
+                       from_ints(1, 0, 1 << 29, 1)]
+
 # generator sets whose final level runs on int64 rows and on two-limb rows:
 # the final row width, in int64 columns, for each
 _FINAL_LEVELS = [
@@ -647,18 +670,30 @@ _FINAL_LEVELS = [
     ([MoebiusElement(bianchi_omega(3), -1, 1, 0), from_ints(1, 3, 0, 1)], 4, 8),
     ([MoebiusElement(bianchi_omega(1), -1, 1, 0), from_ints(1, 0, 1 << 29, 1),
       MoebiusElement(1, bianchi_omega(1) * (1 << 29), 0, 1)], 3, 16),
+    (_COMMUTING_TWO_LIMB, 4, 16),
 ]
 _FINAL_IDS = ["sl2z-int64", "sl2z-two-limb", "bianchi-int64",
-              "bianchi-two-limb"]
+              "bianchi-two-limb", "bianchi-commuting-two-limb"]
 
 
 @pytest.mark.parametrize("gens, max_len, width", _FINAL_LEVELS, ids=_FINAL_IDS)
 @pytest.mark.parametrize("low_bits", [0, 2])
 def test_forced_collisions_on_both_final_level_kinds(gens, max_len, width,
                                                      low_bits):
-    widths = _assert_collisions_change_nothing(gens, max_len, 20, low_bits,
-                                               same_words=False)
+    # every final candidate shares its hash with another: the compares
+    # rebuild rows of the final width from their links
+    widths, rebuilt = _assert_collisions_change_nothing(
+        gens, max_len, 20, low_bits, same_words=False)
     assert max(widths) == width
+    assert rebuilt == {width}
+
+
+def test_final_two_limb_level_rebuilds_repeated_rows():
+    # with the row hash itself, the 37 repeated rows among the 2,151
+    # candidates of the final level are rebuilt on two limbs
+    widths, rebuilt = _assert_collisions_change_nothing(
+        _COMMUTING_TWO_LIMB, 4, 20, None, same_words=False)
+    assert max(widths) == 16 and rebuilt == {16}
 
 
 @pytest.mark.parametrize("gens, max_len, width", _FINAL_LEVELS, ids=_FINAL_IDS)
@@ -666,8 +701,8 @@ def test_state_cap_boundary_on_final_level(monkeypatch, gens, max_len, width):
     widths = []
     row_hash = _bfs._row_hash
     monkeypatch.setattr(_bfs, "_row_hash",
-                        lambda rows: widths.append(rows.shape[1])
-                        or row_hash(rows))
+                        lambda cols: widths.append(len(cols))
+                        or row_hash(cols))
     total = enumerate_traces(gens, max_len, 20).states_explored
     assert widths[-1] == width
     # the final level adds at least two states, so a cap of total - 1
@@ -677,6 +712,91 @@ def test_state_cap_boundary_on_final_level(monkeypatch, gens, max_len, width):
     assert (capped.states_explored, capped.max_len_reached) == (total, max_len)
     with pytest.raises(StateExplosion, match=f"state count {total} exceeds"):
         enumerate_traces(gens, max_len, 20, state_cap=total - 1)
+
+
+def _commuting_marks(search):
+    """The (j, l) marked in the skip table for commuting, not for inverse
+    directions."""
+    mul, ident = search.codec.mul, search.codec.ident
+    return [(j, l) for j, l in zip(*np.nonzero(search.skip))
+            if mul(search.dirs[l], search.dirs[j]) != ident]
+
+
+# g with a power of g in SL2(Z), and maybe one more generator
+_COMMUTING_SL2Z = st.tuples(_SL2Z, st.integers(2, 3),
+                            st.lists(_SL2Z, max_size=1)).map(
+    lambda t: [t[0], t[0] ** t[1]] + t[2])
+_NONZERO = st.integers(-3, 3).filter(bool)
+
+
+def _commuting_bianchi(d, a, b, u, v):
+    """T^a and T^(b*omega) with gamma_x = [[x, -1], [1, 0]], x = u + v*omega,
+    over the integers of Q(sqrt(-d))."""
+    om = bianchi_omega(d)
+    return [MoebiusElement(1, a, 0, 1), MoebiusElement(1, om * b, 0, 1),
+            MoebiusElement(om * v + u, -1, 1, 0)]
+
+
+def _direction_elements(search, gens):
+    # each direction's MoebiusElement, read from its label
+    out = []
+    for label in search.labels:
+        g = gens[int(label[1:].split("^")[0])]
+        out.append(g.inv() if label.endswith("^-1") else g)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=_COMMUTING_SL2Z | st.builds(
+    _commuting_bianchi, st.sampled_from([1, 2, 3, 7, 19]), _NONZERO,
+    _NONZERO, _SMALL, _SMALL))
+@example(gens=_commuting_bianchi(1, 3, 3, 0, 1))
+def test_skip_table_marks_inverses_and_earlier_commuting_directions(gens):
+    """skip[j][l] holds exactly where g_l is the inverse of g_j, or l < j
+    and g_l commutes with g_j, by MoebiusElement products; the identity's
+    column marks nothing."""
+    search = _Search(_make_codec(gens, Fraction(20)), gens, DEFAULT_STATE_CAP)
+    elems = _direction_elements(search, gens)
+    k = len(elems)
+    want = [[(elems[l] * elems[j]).is_identity()
+             or (l < j and elems[l] * elems[j] == elems[j] * elems[l])
+             for l in range(k)] + [False] for j in range(k)]
+    assert search.skip.shape == (k, k + 1)
+    assert search.skip.tolist() == want
+
+
+def test_skip_table_of_commuting_translations():
+    # directions T^3, T^-3, T^(3w), T^(-3w), gamma_w, gamma_w^-1; column 6
+    # stands for the identity
+    gens = _commuting_bianchi(1, 3, 3, 0, 1)
+    search = _Search(_make_codec(gens, Fraction(20)), gens, DEFAULT_STATE_CAP)
+    assert search.labels == ["g0", "g0^-1", "g1", "g1^-1", "g2", "g2^-1"]
+    assert search.skip.astype(int).tolist() == [
+        [0, 1, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0, 0],
+        [1, 1, 0, 1, 0, 0, 0],
+        [1, 1, 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 1, 0, 0]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=_COMMUTING_SL2Z | st.builds(
+    _commuting_bianchi, st.sampled_from([1, 2, 3, 7, 19]), _NONZERO,
+    _NONZERO, _SMALL, _SMALL),
+       max_len=st.integers(2, 4), bound=st.integers(0, 40),
+       low_bits=st.sampled_from([None, 0, 2]))
+@example(gens=_commuting_bianchi(1, 3, 3, 0, 1), max_len=4, bound=40,
+         low_bits=None)
+def test_skipping_commuting_directions_changes_nothing(gens, max_len, bound,
+                                                       low_bits):
+    """Traces, witness words and state counts equal the reference's, which
+    skips no candidate, with the row hash and with degenerate ones."""
+    codec = _make_codec(gens, Fraction(bound))
+    assume(_commuting_marks(_Search(codec, gens, DEFAULT_STATE_CAP)))
+    _assert_collisions_change_nothing(
+        gens, max_len, bound, low_bits,
+        same_words=not (isinstance(codec, _PairCodec) and codec.d % 4 == 3))
 
 
 def test_exact_codec_caps_squared_modulus_for_imaginary_entries():
@@ -860,25 +980,25 @@ def test_first_rows_marks_first_occurrences(pool, width, n, seed, distinct,
         rows = _widen(rows)
     rows = np.asfortranarray(rows) if fortran else np.ascontiguousarray(rows)
     if hash_bits is None:
-        hashes = _row_hash(rows)
+        hashes = _row_hash(rows.T)
     else:
         hashes = rows[:, 0].view(np.uint64) & np.uint64((1 << hash_bits) - 1)
     first = {}
     want = [first.setdefault(row, i) == i
             for i, row in enumerate(map(tuple, rows.tolist()))]
-    assert _first_rows(rows, hashes).tolist() == want
+    assert _first_rows(hashes, lambda pos: rows[pos].T).tolist() == want
 
 
 def _permute_levels(monkeypatch, seed):
     """Make the driver permute the rows of each numpy level, with their
-    links, before the level becomes the frontier."""
+    hashes and links, before the level becomes the frontier."""
     rng = np.random.default_rng(seed)
     np_level = _Search._np_level
 
     def permuted(self, *args):
-        rows, (dirs, parents), new = np_level(self, *args)
+        rows, hashes, (dirs, parents), new = np_level(self, *args)
         perm = rng.permutation(len(rows))
-        return rows[perm], (dirs[perm], parents[perm]), new
+        return rows[perm], hashes[perm], (dirs[perm], parents[perm]), new
 
     monkeypatch.setattr(_Search, "_np_level", permuted)
 
@@ -927,10 +1047,10 @@ def _spy_links(monkeypatch):
     np_level, py_level = _Search._np_level, _Search._py_level
 
     def np_spy(self, frontier, *args):
-        rows, links, new = np_level(self, frontier, *args)
+        rows, hashes, links, new = np_level(self, frontier, *args)
         seen.append((self, _py_rows(frontier, self.width),
                      _py_rows(rows, self.width), links))
-        return rows, links, new
+        return rows, hashes, links, new
 
     def py_spy(self, frontier, *args):
         rows, links = py_level(self, frontier, *args)
@@ -958,13 +1078,30 @@ def test_links_replay(monkeypatch, gens, max_len, bound):
     assert len(seen) == max_len
     for search, before, rows, (dirs, parents) in seen:
         mul, steps = search.codec.mul, search.dirs
-        back = [steps[search.inv_idx[j]] for j in range(len(steps))]
+        back = [next(h for h in steps if mul(g, h) == search.codec.ident)
+                for g in steps]
         before_set = set(before)
         assert len(dirs) == len(parents) == len(rows)
         for row, j, x in zip(rows, dirs, parents):
             assert mul(before[x], steps[j]) == row
             assert next(k for k, g in enumerate(back)
                         if mul(row, g) in before_set) == j
+
+
+def test_enumeration_peak_is_below_50_bytes_per_state():
+    # the last level of gamma0:5's first subgroup at (60, 13) sets the peak;
+    # it keeps only its hashes and in-bound rows besides the two old levels
+    import tracemalloc
+    from fordlab.constructions import build
+    gens = build("gamma0", 5).subgroups[0].gens
+    tracemalloc.start()
+    try:
+        result = enumerate_traces(gens, 13, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.states_explored == 3_188_645
+    assert peak < 50 * result.states_explored
 
 
 def test_state_cap_raises():
