@@ -60,6 +60,7 @@ from fordlab.constructions import (
     SearchExhausted,
     UnsupportedParameter,
     build,
+    certify,
     find_power_conjugator,
     verify_construction,
 )

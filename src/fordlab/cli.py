@@ -9,12 +9,7 @@ import sys
 import time
 from fractions import Fraction
 
-from fordlab.constructions import (
-    Certificate,
-    UnsupportedParameter,
-    build,
-    verify_construction,
-)
+from fordlab.constructions import Certificate, build, verify_construction
 from fordlab.exactnum import MixedRadicand, NotReal, QuadValue, qv_format
 from fordlab.geometry import (
     LemmaViolation,
@@ -31,7 +26,9 @@ from fordlab.moebius import (
 )
 from fordlab.tracesets import (
     DEFAULT_STATE_CAP,
+    KINDS,
     StateExplosion,
+    UnsupportedParameter,
     enumerate_traces,
     trace_sort_key,
 )
@@ -46,7 +43,6 @@ EXIT_IO = 74
 
 SCHEMA_VERSION = "1"
 
-_TARGETS = {"modular", "gamma0", "principal", "normalizer", "bianchi"}
 _REPORT_KEYS = {"schema_version", "target", "verdict", "checks", "coverage",
                 "timings"}
 _CHECK_KEYS = {"name", "status", "margin", "witnesses"}
@@ -57,7 +53,7 @@ def parse_target(text: str):
         return "modular", None
     if ":" in text:
         kind, _, raw = text.partition(":")
-        if kind in _TARGETS:
+        if kind in KINDS:
             try:
                 return kind, int(raw)
             except ValueError:
@@ -98,12 +94,9 @@ def certificate_report(cert: Certificate, bound, elapsed: float,
     }
     if cert.coverage_note:
         coverage["note"] = cert.coverage_note
-    target = cert.construction.target
-    if cert.construction.param:
-        target = f"{target}:{cert.construction.param}"
     return {
         "schema_version": SCHEMA_VERSION,
-        "target": target,
+        "target": cert.construction.model.target,
         "verdict": cert.verdict,
         "checks": [_check_to_json(c) for c in cert.checks],
         "coverage": coverage,
@@ -229,13 +222,10 @@ def render_prism_svg(prism: PrismDomain, conj_disks=()) -> str:
 
 
 def render_construction_svg(construction) -> str:
-    conj = []
-    for idx, alpha in enumerate(construction.conjugators):
-        if alpha is None:
-            continue
-        conj.append((isometric_disk(alpha), mm_format(alpha)))
-        conj.append((isometric_disk(alpha.inv()), mm_format(alpha)))
-    if construction.target == "bianchi":
+    conj = [(isometric_disk(g), mm_format(alpha))
+            for alpha in construction.conjugators if alpha is not None
+            for g in (alpha, alpha.inv())]
+    if isinstance(construction.subgroups[0].domain, PrismDomain):
         return render_prism_svg(construction.subgroups[0].domain, conj)
     domains = [s.domain for s in construction.subgroups if s.domain is not None]
     intervals = [iv for iv in construction.intervals if iv is not None]
@@ -293,13 +283,12 @@ def _emit(path, text) -> bool:
 def cmd_verify(args) -> int:
     try:
         kind, param = parse_target(args.target)
-        bound, state_cap = _search_args(args, 40 if kind == "bianchi" else 50)
-        max_word = args.max_word
-        if max_word is None:
-            # half-space enumerations branch much faster per letter
-            max_word = 8 if kind == "bianchi" else 12
+        # half-space enumerations branch much faster per letter
+        default_bound, default_word = (40, 8) if kind == "bianchi" else (50, 12)
+        bound, state_cap = _search_args(args, default_bound)
+        max_word = default_word if args.max_word is None else args.max_word
         construction = build(kind, param)
-    except (UnsupportedParameter, LemmaViolation, ValueError) as exc:
+    except (LemmaViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     started = time.monotonic()

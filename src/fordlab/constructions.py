@@ -1,9 +1,9 @@
 """Builders for the explicit subgroup constructions and their certification.
 
-Each target (modular, gamma0:n, principal:n, normalizer:p, bianchi:d)
-materializes exact generator sets, Ford domains, conjugators, and an
-expected trace-set model; verify_construction then discharges every
-hypothesis exactly and assembles a Certificate.
+Each target, a TraceSetModel (modular, gamma0:n, principal:n, normalizer:p,
+bianchi:d), materializes exact generator sets, Ford domains and
+conjugators; certify discharges every hypothesis on that data exactly, and
+verify_construction adds the trace enumeration and assembles a Certificate.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from fordlab.tracesets import (
     Coverage,
     StateExplosion,
     TraceSetModel,
-    _is_prime,
-    _is_square_free,
+    UnsupportedParameter,
     coverage_report,
     enumerate_traces,
     expected_set,
@@ -55,16 +54,10 @@ from fordlab.tracesets import (
 )
 
 
-class UnsupportedParameter(ValueError):
-    """The target parameter is outside the constructible range."""
-
-
 class SearchExhausted(RuntimeError):
     """No conjugator was found within the search budget."""
 
 
-DEFAULT_BOUND = Fraction(50)
-DEFAULT_WORD_LEN = 12
 CROSS_CHECK_LEN = 4
 # conjugator search budgets: fixed-point candidates whose powers are tried,
 # and the largest lower-left entry of an involution
@@ -81,28 +74,25 @@ class Subgroup:
 
 @dataclass
 class Construction:
-    target: str
-    param: int
+    model: TraceSetModel            # the target
     subgroups: list
     conjugators: list               # aligned with subgroups; None = unconjugated
     intervals: list                 # aligned; None where not applicable
     combined_gens: list
-    model: TraceSetModel
-    ambient_name: str
     notes: list = field(default_factory=list)
 
     def ambient_check(self, g: MoebiusElement) -> bool:
-        kind = self.model.kind
+        kind, n = self.model.kind, self.model.param
         try:
             if kind == "modular":
                 return in_pslz(g)
             if kind == "gamma0":
-                return in_gamma0(g, self.param)
+                return in_gamma0(g, n)
             if kind == "principal":
-                return in_principal(g, self.param)
+                return in_principal(g, n)
             if kind == "normalizer":
-                return in_normalizer(g, self.param)
-            return in_bianchi(g, self.param)
+                return in_normalizer(g, n)
+            return in_bianchi(g, n)
         except NotIntegral:
             return False
 
@@ -118,13 +108,14 @@ class Certificate:
     reasons: list
 
 
-def _split_two_gen(gens):
-    """Return (translation length m, other generator) for a two-generator set."""
+def _two_gen_domain(gens) -> StripDomain:
+    """The two-generator Ford domain of a translation and one other
+    generator; LemmaViolation when the criterion fails."""
     trans = [g for g in gens if g.c.is_zero()]
     other = [g for g in gens if not g.c.is_zero()]
     if len(trans) != 1 or len(other) != 1:
         raise ValueError("expected one parabolic fixing infinity and one other")
-    return abs(trans[0].b), other[0]
+    return build_ford_two_gen(abs(trans[0].b), other[0])
 
 
 # -- explicit matrix data ----------------------------------------------------------
@@ -460,39 +451,34 @@ def _search_conjugator(c_modulus, interval, notes, label):
 
 def build(target: str, param: int | None = None, *,
           naive: bool = False) -> Construction:
-    """Materialize a named construction with exact matrices and domains."""
+    """Materialize a named construction with exact matrices and domains.
+
+    The target's kind and parameter rules are TraceSetModel's; build adds
+    only its own: a parameter is required, principal needs n >= 2, and
+    gamma0:1 is the modular construction.
+    """
     if target == "modular":
         return _build_modular()
     if param is None:
         raise UnsupportedParameter(f"target {target!r} needs a parameter")
-    if target == "gamma0":
-        if param < 1:
-            raise UnsupportedParameter("gamma0 level must be >= 1")
-        if param == 1:
-            c = _build_modular()
-            c.notes.append("level 1 is the full modular group; "
-                           "using the modular construction")
-            return c
-        return _build_gamma0(param)
-    if target == "principal":
-        if param < 2:
-            raise UnsupportedParameter("principal level must be >= 2")
-        return _build_principal(param, naive=naive)
-    if target == "normalizer":
-        if not _is_prime(param):
-            raise UnsupportedParameter("normalizer parameter must be prime")
-        return _build_normalizer(param)
-    if target == "bianchi":
-        if not _is_square_free(param):
-            raise UnsupportedParameter("bianchi parameter must be square-free >= 1")
-        return _build_bianchi(param)
-    raise UnsupportedParameter(f"unknown target {target!r}")
+    if target == "principal" and param < 2:
+        raise UnsupportedParameter("principal level must be >= 2")
+    model = TraceSetModel(target, param)
+    if model.kind == "gamma0" and param == 1:
+        c = _build_modular()
+        c.notes.append("level 1 is the full modular group; "
+                       "using the modular construction")
+        return c
+    if model.kind == "principal":
+        return _build_principal(model, naive=naive)
+    return {"gamma0": _build_gamma0, "normalizer": _build_normalizer,
+            "bianchi": _build_bianchi}[model.kind](model)
 
 
 def _modular_strip(gens):
     """The two-generator domain of gens, re-centred on the strip from -1
     to 4."""
-    domain = build_ford_two_gen(*_split_two_gen(gens))
+    domain = _two_gen_domain(gens)
     return StripDomain(Fraction(3, 2), Fraction(5, 2), domain.translation,
                        domain.excluded)
 
@@ -503,17 +489,13 @@ def _build_modular() -> Construction:
                  for i, gens in enumerate(gen_sets)]
     conjugators = modular_conjugators()
     intervals = pad_intervals([s.domain for s in subgroups], conjugators)
-    return Construction("modular", 0, subgroups, conjugators, intervals,
-                        _conjugated(subgroups, conjugators),
-                        TraceSetModel("modular"), "PSL2(Z)")
+    return Construction(TraceSetModel("modular"), subgroups, conjugators,
+                        intervals, _conjugated(subgroups, conjugators))
 
 
 def _two_gen_subgroups(gen_sets, labels):
-    subs = []
-    for label, gens in zip(labels, gen_sets):
-        m, g2 = _split_two_gen(gens)
-        subs.append(Subgroup(label, gens, build_ford_two_gen(m, g2)))
-    return subs
+    return [Subgroup(label, gens, _two_gen_domain(gens))
+            for label, gens in zip(labels, gen_sets)]
 
 
 def _conjugated(subgroups, conjugators):
@@ -529,9 +511,10 @@ def _conjugated(subgroups, conjugators):
     return combined
 
 
-def _attach_conjugators(construction, c_modulus):
-    """Plan intervals, search conjugators, and fill combined generators."""
-    subs = construction.subgroups
+def _attach_conjugators(construction) -> Construction:
+    """Plan intervals, search conjugators whose lower-left entry is a
+    multiple of the model's parameter, and fill combined generators."""
+    subs, c_modulus = construction.subgroups, construction.model.param
     try:
         intervals = plan_intervals([s.domain for s in subs])
     except SearchExhausted as exc:
@@ -547,6 +530,7 @@ def _attach_conjugators(construction, c_modulus):
             f"SearchExhausted: no conjugator for {sub.label}"
             for sub, alpha in zip(subs, construction.conjugators) if alpha is None)
     construction.combined_gens = _conjugated(subs, construction.conjugators)
+    return construction
 
 
 def _gamma0_subgroups(n: int) -> list[Subgroup]:
@@ -572,39 +556,32 @@ def _gamma0_subgroups(n: int) -> list[Subgroup]:
     return _two_gen_subgroups(gen_sets, labels)
 
 
-def _build_gamma0(n: int) -> Construction:
-    construction = Construction("gamma0", n, _gamma0_subgroups(n), [], [], [],
-                                TraceSetModel("gamma0", n), f"Gamma0({n})")
-    _attach_conjugators(construction, n)
-    return construction
+def _build_gamma0(model: TraceSetModel) -> Construction:
+    return _attach_conjugators(
+        Construction(model, _gamma0_subgroups(model.param), [], [], []))
 
 
-def _build_principal(n: int, naive: bool = False) -> Construction:
+def _build_principal(model: TraceSetModel, naive: bool) -> Construction:
+    n = model.param
     gens = principal_generators(n, naive=naive)
     label = "H'" if (n == 2 and not naive) else "H"
-    m, g2 = _split_two_gen(gens)
     notes = []
     try:
-        domain = build_ford_two_gen(m, g2)
+        domain = _two_gen_domain(gens)
     except LemmaViolation as exc:
         # kept so the verifier can report the failure instead of crashing
         domain = None
         notes.append(f"LemmaViolation: {exc.detail}")
     sub = Subgroup(label, gens, domain)
-    return Construction("principal", n, [sub], [None], [None], list(gens),
-                        TraceSetModel("principal", n), f"Gamma({n})",
-                        notes=notes)
+    return Construction(model, [sub], [None], [None], list(gens), notes=notes)
 
 
-def _build_normalizer(p: int) -> Construction:
+def _build_normalizer(model: TraceSetModel) -> Construction:
+    p = model.param
     gen_sets = sqrt_p_generators(p)
     subs = _gamma0_subgroups(p) + _two_gen_subgroups(
         gen_sets, [f"W{i}" for i in range(len(gen_sets))])
-    construction = Construction("normalizer", p, subs, [], [], [],
-                                TraceSetModel("normalizer", p),
-                                f"N(Gamma0({p}))")
-    _attach_conjugators(construction, p)
-    return construction
+    return _attach_conjugators(Construction(model, subs, [], [], []))
 
 
 def prism_anchor(d: int) -> QuadValue:
@@ -644,7 +621,8 @@ def bianchi_prism(d: int, x: QuadValue) -> PrismDomain:
     return PrismDomain(d, anchor, excluded)
 
 
-def _build_bianchi(d: int) -> Construction:
+def _build_bianchi(model: TraceSetModel) -> Construction:
+    d = model.param
     om = bianchi_omega(d)
     xs = bianchi_x_values(d)
     deltas_by_x = bianchi_deltas(d)
@@ -667,11 +645,8 @@ def _build_bianchi(d: int) -> Construction:
             notes.append(f"delta[{x}] translated by lattice shift ({js},{jt}) "
                          "into the base prism")
         conjugators.append(delta)
-    return Construction("bianchi", d, subgroups, conjugators,
-                        [None] * len(subgroups),
-                        _conjugated(subgroups, conjugators),
-                        TraceSetModel("bianchi", d), f"PSL2(O_{d})",
-                        notes=notes)
+    return Construction(model, subgroups, conjugators, [None] * len(subgroups),
+                        _conjugated(subgroups, conjugators), notes=notes)
 
 
 def coset_cover_check(subgroups) -> CheckRecord:
@@ -691,24 +666,24 @@ def coset_cover_check(subgroups) -> CheckRecord:
 # -- verification pipeline ------------------------------------------------------------
 
 
-def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
-                        max_word_len: int = DEFAULT_WORD_LEN,
-                        state_cap: int | None = None) -> Certificate:
-    """Run every exact check for a construction and assemble the verdict."""
-    bound = Fraction(bound)
-    checks: list[CheckRecord] = []
-    reasons: list[str] = []
-    is_bianchi = construction.target == "bianchi"
+def certify(construction: Construction) -> list[CheckRecord]:
+    """Every exact check of a construction's data, in report order.
 
-    for sub in construction.subgroups:
-        if is_bianchi:
+    Subgroups with a PrismDomain get the half-space checks, the others the
+    half-plane ones; nothing is enumerated.
+    """
+    subs, conjugators = construction.subgroups, construction.conjugators
+    checks: list[CheckRecord] = []
+    for sub in subs:
+        if isinstance(sub.domain, PrismDomain):
             checks.append(CheckRecord(
                 f"prism_domain[{sub.label}]", "pass",
                 witnesses={"spheres": len(sub.domain.excluded)}))
             continue
+        # built again from the generators, so the lemma is proved for them
+        # whatever domain is stored
         try:
-            m, g2 = _split_two_gen(sub.gens)
-            fresh = build_ford_two_gen(m, g2)
+            fresh = _two_gen_domain(sub.gens)
             checks.append(CheckRecord(
                 f"two_gen_domain[{sub.label}]", "pass",
                 witnesses={"variant": fresh.variant}))
@@ -716,34 +691,30 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
             checks.append(CheckRecord(
                 f"two_gen_domain[{sub.label}]", "fail",
                 witnesses={"inequality": exc.detail}))
-            reasons.append(f"LemmaViolation[{sub.label}]: {exc.detail}")
 
-    if is_bianchi:
-        checks.append(coset_cover_check(construction.subgroups))
+    if isinstance(subs[0].domain, PrismDomain):
+        checks.append(coset_cover_check(subs))
         checks += bianchi_separation_check(
-            [(sub.domain, sub.gens, alpha) for sub, alpha in
-             zip(construction.subgroups, construction.conjugators)])
+            [(sub.domain, sub.gens, alpha)
+             for sub, alpha in zip(subs, conjugators)])
+    elif all(alpha is not None for alpha in conjugators):
+        items = [(sub.domain, alpha, interval) for sub, alpha, interval
+                 in zip(subs, conjugators, construction.intervals)]
+        checks += verify_separation(items, construction.ambient_check,
+                                    construction.model.group)
+    elif len(subs) == 1:
+        # one subgroup, left unconjugated
+        checks.append(CheckRecord("combination_not_required", "pass",
+                                  witnesses={"subgroups": 1}))
     else:
-        present = [alpha for alpha in construction.conjugators if alpha is not None]
-        if len(present) == len(construction.subgroups):
-            items = [(sub.domain, alpha, interval)
-                     for sub, alpha, interval in zip(construction.subgroups,
-                                                     construction.conjugators,
-                                                     construction.intervals)]
-            checks += verify_separation(items, construction.ambient_check,
-                                        construction.ambient_name)
-        elif not present and len(construction.subgroups) == 1:
-            checks.append(CheckRecord("combination_not_required", "pass",
-                                      witnesses={"subgroups": 1}))
-        else:
-            checks.append(CheckRecord(
-                "conjugator_search", "undecided",
-                witnesses={"reason": "SearchExhausted",
-                           "notes": list(construction.notes)}))
+        checks.append(CheckRecord(
+            "conjugator_search", "undecided",
+            witnesses={"reason": "SearchExhausted",
+                       "notes": list(construction.notes)}))
 
     checks.extend(CheckRecord(f"infinite_area_height[{sub.label}]", "pass",
                               margin=infinite_area_height(sub.domain))
-                  for sub in construction.subgroups if sub.domain is not None)
+                  for sub in subs if sub.domain is not None)
 
     for idx, g in enumerate(construction.combined_gens):
         ok = construction.ambient_check(g)
@@ -754,16 +725,24 @@ def verify_construction(construction: Construction, bound=DEFAULT_BOUND,
             f"generator_trace_in_model[{idx}]",
             "pass" if model_contains(construction.model, t) else "fail",
             witnesses={"trace": str(t)}))
-    pos = 0
-    for sub, alpha in zip(construction.subgroups, construction.conjugators):
+    stored = iter(construction.combined_gens)
+    for sub, alpha in zip(subs, conjugators):
         for j, g in enumerate(sub.gens):
             expect = g if alpha is None else alpha * g * alpha.inv()
-            stored = (construction.combined_gens[pos]
-                      if pos < len(construction.combined_gens) else None)
             checks.append(CheckRecord(
                 f"conjugate_roundtrip[{sub.label}:{j}]",
-                "pass" if stored == expect else "fail"))
-            pos += 1
+                "pass" if next(stored, None) == expect else "fail"))
+    return checks
+
+
+def verify_construction(construction: Construction, bound, max_word_len: int,
+                        state_cap: int | None = None) -> Certificate:
+    """Certify a construction, enumerate its traces up to the bound and
+    word length, compare them with the model, and give the verdict."""
+    checks = certify(construction)
+    reasons = [f"LemmaViolation{c.name.removeprefix('two_gen_domain')}: "
+               f"{c.witnesses['inequality']}" for c in checks
+               if c.name.startswith("two_gen_domain") and c.status == "fail"]
 
     coverage = None
     coverage_note = None

@@ -80,10 +80,14 @@ def square_free_decompose(n: int) -> tuple[int, int]:
                 q *= p
         p += 1 if p == 2 else 2
     if m > 1:
+        # m is a prime (the loop stopped at p*p > m), or every prime
+        # factor of m exceeds the trial limit L; three such factors make
+        # m > L**3, so an m < L**3 is a prime, a product of two primes
+        # (square-free unless they are equal) or a square
         r = isqrt(m)
         if r * r == m:
             s *= r
-        elif m <= _SQUAREFREE_TRIAL_LIMIT ** 2:
+        elif m < _SQUAREFREE_TRIAL_LIMIT ** 3:
             q *= m
         else:
             raise ValueError(f"residual factor {m} too large to certify square-free")

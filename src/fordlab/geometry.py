@@ -299,15 +299,9 @@ def domain_basepoint(domain: StripDomain) -> tuple[QuadValue, QuadValue]:
     top = Fraction(1)
     for disk, _ in domain.excluded:
         top = max(top, _rational_upper_sqrt(disk.radius_sq))
-    y0 = 2 * top
-    x = QuadValue(x0)
-    for disk, _ in domain.excluded:
-        # boundary collision is impossible for y0 above every disk, but a
-        # deterministic nudge keeps the choice safe under refactors
-        if ((x - disk.center) * (x - disk.center) + QuadValue(y0 * y0)) \
-                .cmp_real(QuadValue(disk.radius_sq)) == 0:
-            x = x + QuadValue(Fraction(1, 7))
-    return x, QuadValue(y0)
+    # y0 = 2*top exceeds every disk radius, so the point is on no disk's
+    # boundary
+    return QuadValue(x0), QuadValue(2 * top)
 
 
 def _point_in_open_disk(x: QuadValue, y: QuadValue, disk: IsometricDisk) -> int:

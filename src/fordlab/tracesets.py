@@ -20,6 +20,7 @@ __all__ = [
     "NotHyperbolic",
     "StateExplosion",
     "TraceSetModel",
+    "UnsupportedParameter",
     "coverage_report",
     "enumerate_traces",
     "expected_set",
@@ -51,41 +52,54 @@ class NotHyperbolic(ValueError):
     """Geodesic length is defined for real traces of absolute value > 2."""
 
 
+# each target kind and its ambient group's name, {} standing for the parameter
+KINDS = {"modular": "PSL2(Z)", "gamma0": "Gamma0({})", "principal": "Gamma({})",
+         "normalizer": "N(Gamma0({}))", "bianchi": "PSL2(O_{})"}
+
+
+class UnsupportedParameter(ValueError):
+    """The target parameter is outside the constructible range."""
+
+
 @dataclass(frozen=True)
 class TraceSetModel:
-    """Closed-form model of an expected trace set.
+    """A target and the closed-form model of its expected trace set.
 
-    kind is one of modular, gamma0, principal, normalizer, bianchi; param
-    is the level n, the prime p, or the field discriminant parameter d.
+    kind is one of KINDS; param is the level n, the prime p, or the field
+    discriminant parameter d, and 0 for modular.
     """
 
     kind: str
     param: int = 0
 
     def __post_init__(self):
-        if self.kind not in {"modular", "gamma0", "principal", "normalizer",
-                             "bianchi"}:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "gamma0" and self.param < 1:
-            raise ValueError("gamma0 model needs n >= 1")
-        if self.kind == "principal" and self.param < 1:
-            raise ValueError("principal model needs n >= 1")
+        if self.kind not in KINDS:
+            raise UnsupportedParameter(f"unknown target {self.kind!r}")
+        if self.kind in ("gamma0", "principal") and self.param < 1:
+            raise UnsupportedParameter(f"{self.kind} level must be >= 1")
         if self.kind == "normalizer" and not _is_prime(self.param):
-            raise ValueError("normalizer model needs p prime")
+            raise UnsupportedParameter("normalizer parameter must be prime")
         if self.kind == "bianchi" and not _is_square_free(self.param):
-            raise ValueError("bianchi model needs square-free d >= 1")
+            raise UnsupportedParameter(
+                "bianchi parameter must be square-free >= 1")
+
+    @property
+    def target(self) -> str:
+        """The target as the command line names it: kind or kind:param."""
+        return f"{self.kind}:{self.param}" if self.param else self.kind
+
+    @property
+    def group(self) -> str:
+        """The name of the ambient group."""
+        return KINDS[self.kind].format(self.param)
 
 
-def _is_prime(p) -> bool:
-    if p is None or p < 2:
-        return False
-    return all(p % q for q in range(2, isqrt(p) + 1))
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
-def _is_square_free(d) -> bool:
-    if d is None or d < 1:
-        return False
-    return all(d % (q * q) for q in range(2, isqrt(d) + 1))
+def _is_square_free(d: int) -> bool:
+    return d >= 1 and all(d % (q * q) for q in range(2, isqrt(d) + 1))
 
 
 def unit_residue_traces(n: int) -> set[int]:

@@ -175,6 +175,31 @@ def test_short_workloads_match_golden(tmp_path, monkeypatch, capsys):
                 == golden[oracle.golden_key(target, bound, max_word)]), target
 
 
+def test_traced_short_workloads_yield_every_span_metric(tmp_path, monkeypatch):
+    """One traced pass of the benchmark's short verify configs gives every
+    per-layer metric of BENCHMARK.json that the spans derive: a renamed or
+    bypassed layer boundary drops one."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import child
+    import spans
+    import workloads
+
+    run = child.Run("verify-int", 1, tmp_path, "short")
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        for name in workloads.VERIFY:
+            done = run.verify_pass(workloads.verify_targets(name, "short"),
+                                   tracer)
+            assert not any(done.problems), done.problems
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    span_derived = {m["name"] for m in spec["per_layer"]
+                    if m["name"].startswith(("tracesets.", "cli.report_"))}
+    span_derived -= {"tracesets.bytes_per_state"}    # from the replay
+    span_derived |= {"constructions.verify.self_s",
+                     "geometry.two_gen_domain_s", "geometry.separation_s"}
+    assert set(child.span_metrics(tracer)) == span_derived
+
+
 def test_traces_deterministic_bytes(tmp_path):
     gens = tmp_path / "g.txt"
     gens.write_text("[[1,-1],[1,0]]\n[[1,5],[0,1]]\n")

@@ -20,6 +20,7 @@ from fordlab.constructions import (
     bianchi_deltas,
     bianchi_x_values,
     build,
+    certify,
     find_power_conjugator,
     gamma0_special_generators,
     gamma0_unit_pairs,
@@ -245,7 +246,7 @@ def test_normalizer_searches_conjugators_once(monkeypatch, p):
     attach = fordlab.constructions._attach_conjugators
 
     def spy(construction, *args):
-        calls.append(construction.target)
+        calls.append(construction.model.kind)
         return attach(construction, *args)
 
     monkeypatch.setattr(fordlab.constructions, "_attach_conjugators", spy)
@@ -280,3 +281,37 @@ def test_every_margin_check_passes_exactly_when_its_margin_is_positive(
     assert [(c.name, c.status) for c in with_margin] == [
         (c.name, "pass" if c.margin.sign_real() > 0 else "fail")
         for c in with_margin]
+
+
+FIXED_TARGETS = [("modular", None), ("gamma0", 5), ("principal", 7),
+                 ("normalizer", 7), ("bianchi", 3), ("bianchi", 19),
+                 ("bianchi", 10)]
+
+
+@pytest.mark.parametrize("target, param", FIXED_TARGETS)
+def test_certify_gives_the_certificate_checks(target, param):
+    c = build(target, param)
+    assert certify(c) == verify_construction(c, 4, 2).checks
+
+
+def test_certify_enumerates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify enumerated traces")
+
+    monkeypatch.setattr(fordlab.constructions, "enumerate_traces", refuse)
+    for target, param in FIXED_TARGETS:
+        assert certify(build(target, param))
+
+
+# square-free d for which a delta_spheres_disjoint margin takes the square
+# root of an integer that keeps a factor between 10**12 and 10**18 after
+# trial division up to 10**6
+LARGE_RESIDUAL_D = [699, 723, 739, 759, 823, 859, 907, 955, 1003, 1059, 1067,
+                    1095, 1099, 1171, 1207, 1227, 1263, 1283, 1307, 1435,
+                    1447, 1595, 1603, 1627, 1711, 1735, 1739, 1747, 1763,
+                    1803, 1831, 1887, 1907, 1927, 1943, 1963]
+
+
+@pytest.mark.parametrize("d", LARGE_RESIDUAL_D)
+def test_bianchi_with_large_residual_factor_is_verified(d):
+    assert verify_construction(build("bianchi", d), 2, 1).verdict == "Verified"

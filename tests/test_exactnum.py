@@ -122,6 +122,16 @@ def test_squarefree_decompose():
     assert square_free_decompose(0) == (0, 0)
 
 
+def test_squarefree_decompose_past_the_trial_limit():
+    # a residual below 10**18 with no prime factor up to 10**6 is a prime,
+    # a product of two primes or a square
+    assert square_free_decompose(1000003 * 1000033) == (1, 1000036000099)
+    assert square_free_decompose(1000003 ** 2) == (1000003, 1)
+    assert square_free_decompose(12 * 1000003 * 1000033) == (2, 3000108000297)
+    with pytest.raises(ValueError, match="too large to certify"):
+        square_free_decompose(1000003 * 1000033 * 1000037)
+
+
 def test_sqrt_qv():
     assert sqrt_qv(Fraction(1, 25)) == QuadValue(Fraction(1, 5))
     assert sqrt_qv(Fraction(1, 5)) == QuadValue(0, Fraction(1, 5), 5)

@@ -37,6 +37,7 @@ from fordlab.tracesets import (
     NotHyperbolic,
     StateExplosion,
     TraceSetModel,
+    UnsupportedParameter,
     coverage_report,
     enumerate_traces,
     expected_set,
@@ -187,12 +188,22 @@ def test_models_match_former_formulas():
 
 
 def test_models_validate_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedParameter):
         TraceSetModel("normalizer", 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedParameter):
         TraceSetModel("bianchi", 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedParameter):
         TraceSetModel("nonsense")
+    with pytest.raises(UnsupportedParameter):
+        TraceSetModel("gamma0", 0)
+    assert issubclass(UnsupportedParameter, ValueError)
+
+
+def test_model_names_its_target_and_group():
+    assert TraceSetModel("modular").target == "modular"
+    assert TraceSetModel("gamma0", 5).target == "gamma0:5"
+    assert TraceSetModel("normalizer", 7).group == "N(Gamma0(7))"
+    assert TraceSetModel("bianchi", 19).group == "PSL2(O_19)"
 
 
 def test_enumerate_single_parabolic():
