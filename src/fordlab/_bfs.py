@@ -28,12 +28,15 @@ another candidate: the inverse of the direction that reached it, and the
 earlier directions that commute with that one (see ``_Search``).  Every
 level keeps the first occurrence of each new row in generation order,
 found by row hash on numpy levels and by a set on Python-int and exact
-levels.  A numpy level's row hashes are made once, with the level, and
-kept beside its rows; the last level keeps only its hashes and its
-in-bound rows, and rebuilds from its links the few candidates whose hash
-it shares with another row.  So each state's link names the first
-direction that reaches it from the level before, and each trace is
-witnessed by the least state, in numeric row order, that has it.
+levels.  So each state's link names the first direction that reaches it
+from the level before, and each trace is witnessed by the least state, in
+numeric row order, that has it.  A numpy level's row hashes are made
+once, with the level, and kept beside its rows; a row hash reads
+coordinate values, so widening a level keeps them.  The last level is
+never a frontier, and its rows are not all made: the hashes and trace
+columns of its candidates are linear forms mod 2**64 in the frontier
+rows, and exact rows are made only for the candidates that may be in
+bound and for those whose hash another row shares.
 """
 
 from __future__ import annotations
@@ -204,36 +207,102 @@ def _py_rows(rows, width):
     return list(map(tuple, rows.tolist()))
 
 
-_MASK64 = (1 << 64) - 1
-
-
 def _mix64(x):
-    """The splitmix64 finalizer, a bijection of 64-bit words, on a Python
-    int or elementwise on a uint64 array."""
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
-    return x ^ (x >> 31)
+    """The splitmix64 finalizer, a bijection of 64-bit words, elementwise
+    and in place on a uint64 array."""
+    x ^= x >> 30
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> 27
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> 31
+    return x
 
 
-# one fixed odd multiplier per column, at most 16 (eight two-limb
-# coordinates); unrelated constants, since a row hash that is linear in
-# its columns collides on rows x, y with sum((x - y) * C) = 0 mod 2**64
-_HASH_MULS = [np.uint64(_mix64(k * 0x9E3779B97F4A7C15 & _MASK64) | 1)
-              for k in range(1, 17)]
+# one fixed odd multiplier C_k per coordinate, at most eight; unrelated
+# constants, since a row hash that is linear in its coordinates collides on
+# rows x, y with sum((x - y) * C) = 0 mod 2**64
+_HASH_MULS = (_mix64(np.arange(1, 9, dtype=np.uint64)
+                     * np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)).tolist()
 
 
-def _row_hash(cols):
-    """A uint64 hash of each int64 row, given as its columns (``rows.T``
-    of a level, or the flat columns of candidates): the sum of its columns
-    times fixed odd constants, mod 2**64, then ``_mix64``, so that the top
-    bits depend on every bit of the row.  Equal rows hash equal; callers
-    compare rows that share a hash exactly."""
-    h = np.zeros(len(cols[0]), dtype=np.uint64)
-    term = np.empty_like(h)
-    for col, mul in zip(cols, _HASH_MULS):
-        np.multiply(col.view(np.uint64), mul, out=term)
-        h += term
-    return _mix64(h)
+def _wrapped(cols, form):
+    """The int64 columns sum_k form[i][k] * cols[k] mod 2**64, one per row i
+    of the form, for int64 or limb columns and coefficients of any size:
+    ``_linear`` on int64 columns wraps, and a limb column counts as
+    hi * 2**31 + lo."""
+    if isinstance(cols[0], _Limbs):
+        cols = _flat(cols)
+        form = [[c << s for c in coefs for s in (_LIMB_BITS, 0)]
+                for coefs in form]
+    return _linear(cols, [[(c + (1 << 63)) % (1 << 64) - (1 << 63)
+                           for c in coefs] for coefs in form])
+
+
+def _compose(rows, form):
+    """The forms in x of rows applied to the outputs of form: sum_i
+    row[i] * form[i][k] for each column k.  A row longer than the form has
+    outputs reads none past them."""
+    return [[sum(t * f[k] for t, f in zip(row, form))
+             for k in range(len(form[0]))] for row in rows]
+
+
+def _scale_bits(col):
+    # the int64 scale column e of a normalizer row: 0 or 1
+    return col.lo if isinstance(col, _Limbs) else col
+
+
+def _fold_mix(s, e=None, times_p=None, p=None):
+    """The row hash from the sums s of _row_hash (overwritten): s times p
+    where times_p holds, folded to min(s, -s mod 2**64), C_4 * e added,
+    then ``_mix64``."""
+    if times_p is not None:
+        np.multiply(s, np.uint64(p), out=s, where=times_p)
+    np.minimum(s, np.negative(s), out=s)
+    if e is not None:
+        np.add(s, np.uint64(_HASH_MULS[4]), out=s, where=e != 0)
+    return _mix64(s)
+
+
+def _row_hash(cols, p=None):
+    """A uint64 hash of each row, given as its int64 or limb columns.
+
+    The sum s = sum_k C_k * y_k mod 2**64 is folded to min(s, -s), so a row
+    and its negation hash alike, and then mixed by ``_mix64``, so that the
+    top bits depend on every bit of the row.  A limb column contributes its
+    value mod 2**64, so a row hashes alike on int64 and on two limbs.  With
+    a radicand p the sum runs over a, b, c and d only and is multiplied by
+    p^(1 - e) before the fold, and C_4 * e is added after it: a product of
+    two scaled states then hashes as its undivided form times 1, which
+    ``_product_hash`` reads without dividing.  Equal rows hash equal;
+    callers compare rows that share a hash exactly."""
+    if p is None:
+        return _fold_mix(_wrapped(cols, [_HASH_MULS])[0].view(np.uint64))
+    e = _scale_bits(cols[4])
+    s = _wrapped(cols[:4], [_HASH_MULS])[0].view(np.uint64)
+    return _fold_mix(s, e, e == 0, p)
+
+
+def _product_hash(cols, gen, hash_form, p=None):
+    """``_row_hash`` of the canonical products x*gen, read off the int64 or
+    limb columns of the rows x without making the products.
+
+    ``hash_form``, the constants C_k composed with gen's matrix, gives the
+    sum s = C . M of the undivided product M.  The canonical product is
+    +-M, and the fold hides the sign.  With a radicand p it is +-M / p, of
+    scale 0, where x and gen are both scaled: its sum +-s / p times p is
+    s.  Where gen is unscaled the product keeps x's scale e, and its sum
+    is +-s, multiplied by p where e is 0."""
+    s = _wrapped(cols, [hash_form])[0].view(np.uint64)
+    if p is None:
+        return _fold_mix(s)
+    e = _scale_bits(cols[4])
+    if gen[4]:
+        return _fold_mix(s, e ^ 1)
+    return _fold_mix(s, e, e == 0, p)
+
+
+# keys per chunk of _first_rows' passes over its sort keys
+_CHUNK = 1 << 16
 
 
 def _first_rows(hashes, gather):
@@ -244,44 +313,69 @@ def _first_rows(hashes, gather):
 
     One in-place ``np.sort`` of the hashes, with the row positions packed
     into their low bits, puts rows that share the top bits of their hash
-    next to each other, each run in position order.  Neighbours in such a
-    run are compared exactly, on the rows of every run of two or more only.
-    In a run whose rows are all equal only the first is marked; a run that
-    holds two different rows is resolved with a Python set over that run
-    only.
+    next to each other, each run in position order; ``_split_runs``
+    compares the rows of the runs of two or more.  The packing and the
+    compares of neighbouring keys go in chunks of ``_CHUNK`` keys, and the
+    marks, in hash order, wait in the top bit of the keys while the mask by
+    position is made, so that no temporary but one mask is n long.
     """
     n = len(hashes)
     ib = (n - 1).bit_length()
     mask = np.uint64((1 << ib) - 1)
     key = hashes        # sorted in place
     key &= ~mask
-    key |= np.arange(n, dtype=np.uint64)
+    chunks = [(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+    for i, end in chunks:
+        key[i:end] |= np.arange(i, end, dtype=np.uint64)
     key.sort()
-    # neighbours share their top bits when their keys differ in the low ones
-    eq = np.bitwise_xor(key[1:], key[:-1]) <= mask
+    # in hash order: the runs start where the top bits change
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    for i, end in chunks:
+        i = max(i, 1)
+        np.greater(key[i:end] ^ key[i - 1:end - 1], mask, out=first[i:end])
     key &= mask
-    order = key.view(np.int64)
-    first = np.insert(~eq, 0, True)     # in hash order: the run starts
-    if eq.any():
-        # the rows of every run of two or more, in hash order: a run's rows
-        # are neighbours there
-        members = np.flatnonzero(np.append(eq, False) | ~first)
-        differs = np.zeros(len(members) - 1, dtype=bool)
-        for col in gather(order[members]):
-            differs |= col[1:] != col[:-1]
-        bad = members[np.flatnonzero(differs & eq[members[:-1]])]
-        if len(bad):
-            starts = np.append(np.flatnonzero(first), n)
-            for r in np.unique(np.searchsorted(starts, bad, side="right") - 1):
-                seen = set()
-                run = zip(*(col.tolist() for col in
-                            gather(order[starts[r]:starts[r + 1]])))
-                for at, row in enumerate(run, starts[r]):
-                    first[at] = row not in seen
-                    seen.add(row)
+    _split_runs(first, key.view(np.int64), chunks, gather)
+    top = np.uint64(1 << 63)
+    for i, end in chunks:
+        np.bitwise_or(key[i:end], top, out=key[i:end], where=first[i:end])
+    del first
     out = np.empty(n, dtype=bool)
-    out[order] = first
+    for i, end in chunks:
+        out[key[i:end] & mask] = key[i:end] >= top
     return out
+
+
+def _split_runs(first, order, chunks, gather):
+    """Mark in ``first``, a mask in hash order that holds where a run of
+    keys with the same top bits starts, only the first occurrence of each
+    distinct row.  ``order`` holds the rows' positions in hash order.
+
+    Only the members, the rows of the runs of two or more, are read:
+    neighbours among them are compared exactly.  In a run whose rows are
+    all equal only the first stays marked; a run that holds two different
+    rows is resolved with a Python set over that run only.
+    """
+    # the members: each key not a run start, and each run start before one
+    tail = np.concatenate([np.flatnonzero(~first[i:end]) + i
+                           for i, end in chunks])
+    if not len(tail):
+        return
+    members = np.sort(np.concatenate([(tail - 1)[first[tail - 1]], tail]))
+    differs = np.zeros(len(members) - 1, dtype=bool)
+    for col in gather(order[members]):
+        differs |= col[1:] != col[:-1]
+    # neighbours in one run whose rows differ, and the members that start
+    # each run
+    bad = np.flatnonzero(differs & ~first[members[1:]])
+    heads = np.append(np.flatnonzero(first[members]), len(members))
+    for r in np.unique(np.searchsorted(heads, bad, side="right") - 1):
+        run = members[heads[r]:heads[r + 1]]
+        seen = set()
+        for at, row in zip(run.tolist(), zip(*(
+                col.tolist() for col in gather(order[run])))):
+            first[at] = row not in seen
+            seen.add(row)
 
 
 # -- integer matrices, optionally scaled by 1/sqrt(p) ----------------------
@@ -353,17 +447,21 @@ class _IntCodec:
                 break
         return tuple(row) if self.p is None else (*row, x[4] ^ y[4])
 
+    def _scale(self, prod, e, gen):
+        # the columns prod of the products x*gen, divided by p where x and
+        # gen are both scaled, then the products' scale column; e is x's,
+        # 0 or 1
+        if gen[4]:
+            div = 1 + (self.p - 1) * _sign(e)
+            prod = [v // div for v in prod]
+            e = _Limbs(e.hi, e.lo ^ 1) if isinstance(e, _Limbs) else e ^ 1
+        return prod + [e]
+
     def np_mul(self, cols, gen, form):
         # the int64 or limb columns of the canonical rows x*gen, by form
         prod = _linear(cols, form)
         if self.p is not None:
-            e = cols[4]
-            if gen[4]:
-                # e is 0 or 1: divide the rows of two scaled states by p
-                div = 1 + (self.p - 1) * _sign(e)
-                prod = [v // div for v in prod]
-                e = _Limbs(e.hi, e.lo ^ 1) if isinstance(e, _Limbs) else e ^ 1
-            prod.append(e)
+            prod = self._scale(prod, cols[4], gen)
         # the first nonzero entry of (c, a, b, d) becomes positive
         leads = lambda c: iter((c[2], c[0], c[1], c[3]))
         return _make_positive(prod[:4], leads) + prod[4:]
@@ -374,6 +472,18 @@ class _IntCodec:
         return np.where(_sign(traces[1]) > 0,
                         _within(traces[0], self.rad_floor * self.p),
                         _within(traces[0], self.bound_floor))
+
+    def np_maybe_in_bound(self, cols, gen, traces):
+        """A mask over the products x*gen of the rows cols that holds where
+        the product's trace is in bound, and maybe elsewhere.  traces are
+        the trace columns of the undivided products, wrapped to int64.  A
+        trace in bound below 2**63 wraps to itself, and where a limit
+        reaches 2**63 every int64 passes; the floor division by p of a
+        wrapped trace is exact, or bounded by 2**63 / p where the limit is
+        at least that."""
+        if self.p is not None:
+            traces = self._scale(traces[:1], cols[4], gen)
+        return self.np_in_bound(traces)
 
     def trace_key(self, row):
         s = abs(row[0] + row[3])
@@ -392,6 +502,8 @@ class _IntCodec:
 class _PairCodec:
     """Matrices with entries u + v*omega in the integers of Q(sqrt(-d)),
     stored as rows of eight coordinates (u, v) for a, b, c, d."""
+
+    p = None        # no scale column
 
     def __init__(self, d: int, bound: Fraction):
         self.d = d
@@ -457,6 +569,11 @@ class _PairCodec:
     def np_in_bound(self, traces):
         tu, tv = traces
         return _within(tu, self.np_limit) & _within(tv, self.np_limit)
+
+    def np_maybe_in_bound(self, cols, gen, traces):
+        # as for _IntCodec: a trace in bound wraps to itself, or the limit
+        # passes every int64
+        return self.np_in_bound(traces)
 
     def trace_key(self, row):
         tu, tv = row[0] + row[6], row[1] + row[7]
@@ -563,6 +680,12 @@ class _Search:
             units = np.eye(self.width, dtype=int).tolist()
             self.forms = [list(zip(*(codec._product(u, g) for u in units)))
                           for g in self.dirs]
+            # the last level's forms in x: the hash sum and the trace
+            # columns of the undivided x*g (see _last_level)
+            self.hash_forms = [_compose([_HASH_MULS], form)[0]
+                               for form in self.forms]
+            self.trace_forms = [_compose(codec.trace_form, form)
+                                for form in self.forms]
             self.gen_max = max(map(abs, chain(*self.dirs)), default=1)
             # the distinct rows of |coefficients|, which bound the products
             self.abs_rows = {tuple(map(abs, coefs)) for form in self.forms
@@ -627,13 +750,14 @@ class _Search:
             last = np.array(last, dtype=np.int16)
         older = frontier[:0]    # level L-2, in the form of the frontier
         if kind is _INT64:
-            # the row hashes of older and of the frontier
-            hashes = [_row_hash(older.T), _row_hash(frontier.T)]
+            # the row hashes of older and of the frontier, which two limbs
+            # leave as they are
+            hashes = [self._hash(older), self._hash(frontier)]
         for level in range(1, max_len + 1):
             step = self._kind(kind, frontier)
-            if step is _WIDE and kind is _INT64:
+            final = level == max_len
+            if step is _WIDE and kind is _INT64 and not final:
                 frontier, older = _widen(frontier), _widen(older)
-                hashes = [_row_hash(older.T), _row_hash(frontier.T)]
             elif step is _PY and kind is not _PY:
                 frontier = _py_rows(frontier, self.width)
                 older = _py_rows(older, self.width)
@@ -642,9 +766,12 @@ class _Search:
             if kind is _PY:
                 rows, links = self._py_level(frontier, last, older)
                 new = len(rows)
+            elif final:
+                rows, links, new = self._last_level(frontier, last, older,
+                                                    hashes, kind)
             else:
                 rows, row_hashes, links, new = self._np_level(
-                    frontier, last, older, hashes, level == max_len)
+                    frontier, last, older, hashes)
                 hashes = [hashes[1], row_hashes]
             older = frontier
             if not new:
@@ -669,27 +796,35 @@ class _Search:
             keeps.append(keep)
         return keeps
 
+    def _hash(self, rows):
+        return _row_hash(_columns(rows, self.width), self.codec.p)
+
+    def _exact(self, rows, j, wide):
+        # the columns of the canonical products x*dirs[j] of numpy rows x,
+        # on two limbs when the level is wide
+        if wide and rows.shape[1] == self.width:
+            rows = _widen(rows)
+        return self.codec.np_mul(_columns(rows, self.width), self.dirs[j],
+                                 self.forms[j])
+
     def _candidates(self, frontier, keeps):
         # per direction j, the columns of the canonical products x*dirs[j]
         # over the frontier rows x that j does not skip; each masked copy
         # has contiguous columns and dies with np_mul; the transpose of a
         # column-major level is a view, not a copy
         block = np.ascontiguousarray(frontier.T)
-        for j, (gen, form, keep) in enumerate(zip(self.dirs, self.forms,
-                                                  keeps)):
+        for j, keep in enumerate(keeps):
             if keep.any():
-                yield j, self.codec.np_mul(
-                    _columns(np.compress(keep, block, axis=1).T, self.width),
-                    gen, form)
+                yield j, self._exact(np.compress(keep, block, axis=1).T, j,
+                                     False)
 
-    def _np_level(self, frontier, last, older, hashes, final=False):
+    def _np_level(self, frontier, last, older, hashes):
         """The level after ``frontier`` on numpy rows, as (rows, hashes,
         links, number of new states): its new rows in generation order with
         their row hashes, and per row the direction that reached it first
         and the index of its parent in the frontier.  ``hashes`` holds the
-        row hashes of ``older`` and of the frontier.  The ``final`` level is
-        never a frontier, so only its in-bound rows, which may witness a
-        trace, are returned.
+        row hashes of ``older`` and of the frontier.  It makes every level
+        but the last (``_last_level``).
 
         Numpy levels are column-major, so that each column is contiguous.
         The hashes of the two old levels, then of each direction's
@@ -698,11 +833,9 @@ class _Search:
         levels come first and are disjoint and deduplicated, so the marked
         candidates are the new states, each at the least direction j that
         reaches it; its parent is the frontier row x with x*dirs[j] the
-        row, unique since rows are canonical.  A direction keeps its
-        candidate rows only where they may be returned: all of them, or on
-        the final level the in-bound ones.  The exact compares of rows that
-        share a hash read the old levels in place and rebuild candidates
-        from their links (``_gather``).
+        row, unique since rows are canonical.  The exact compares of rows
+        that share a hash read the old levels and the candidates in place
+        (``_gather``).
         """
         n_old = len(older) + len(frontier)
         keeps = self._keeps(last)
@@ -711,45 +844,31 @@ class _Search:
             return frontier[:0], hashes[1][:0], (last[:0], np.arange(0)), 0
         key = np.empty(n, dtype=np.uint64)
         key[:len(older)], key[len(older):n_old] = hashes
-        # per direction: j, its span in key, the mask of the candidates it
-        # keeps (None: all), and their flat columns and hashes
+        # per direction: j, its span in key, its flat columns and hashes
         parts = []
         at = n_old
         for j, cols in self._candidates(frontier, keeps):
-            flat = _flat(cols)
-            part_hashes = _row_hash(flat)
+            part_hashes = _row_hash(cols, self.codec.p)
             end = at + len(part_hashes)
             key[at:end] = part_hashes
-            kept = None
-            if final:
-                kept = self.codec.np_in_bound(
-                    _linear(cols, self.codec.trace_form))
-                flat = [col[kept] for col in flat]
-                part_hashes = part_hashes[kept]
-            parts.append((j, at, end, kept, flat, part_hashes))
+            parts.append((j, at, end, _flat(cols), part_hashes))
             at = end
             del cols        # before the next direction's products
         assert at == n
         starts = np.array([0, len(older)] + [p[1] for p in parts])
-        # the columns of each span, or on the final level the direction
-        # whose candidates are rebuilt
-        sources = [older.T, frontier.T] + [
-            j if final else flat for j, _, _, _, flat, _ in parts]
+        sources = [older.T, frontier.T] + [flat for *_, flat, _ in parts]
         first = _first_rows(key, lambda pos: self._gather(
-            pos, starts, sources, frontier, keeps))
+            pos, starts, sources, frontier, keeps, False))
         del key
         new = int(np.count_nonzero(first[n_old:]))
-        # per direction: its columns, which of its kept rows are new, and
-        # their hashes and links
+        # per direction: which of its rows are new, and their links
         news = []
-        for j, at, end, kept, flat, part_hashes in parts:
-            pick, parents = first[at:end], np.flatnonzero(keeps[j])
-            if kept is not None:
-                pick, parents = pick[kept], parents[kept]
-            news.append((flat, pick, part_hashes[pick], parents[pick]))
+        for j, at, end, flat, part_hashes in parts:
+            pick = first[at:end]
+            news.append((flat, pick, part_hashes[pick],
+                         np.flatnonzero(keeps[j])[pick]))
         sizes = [len(new_parents) for *_, new_parents in news]
-        rows = np.empty((sum(sizes), frontier.shape[1]), dtype=np.int64,
-                        order="F")
+        rows = np.empty((new, frontier.shape[1]), dtype=np.int64, order="F")
         at = 0
         for (flat, pick, _, _), size in zip(news, sizes):
             for k, col in enumerate(flat):
@@ -760,12 +879,78 @@ class _Search:
         return (rows, np.concatenate([h for _, _, h, _ in news]),
                 (dirs, np.concatenate([p for *_, p in news])), new)
 
-    def _gather(self, pos, starts, sources, frontier, keeps):
+    def _last_level(self, frontier, last, older, hashes, kind):
+        """The last level after ``frontier`` on numpy rows of the given
+        kind, as (rows, links, number of new states).  The last level is
+        never a frontier, so it needs only the exact count of its new
+        states and its new in-bound rows, which may witness a trace, with
+        their links; it makes no row it does not need.
+
+        Its keys are laid out as in ``_np_level``, but a direction's
+        candidate hashes are read off the frontier rows x, never widened:
+        ``_product_hash`` by ``hash_forms[j]``, the linear form of x*g_j's
+        hash sum mod 2**64, of which only the result is compressed by the
+        skip table's mask.  The trace columns of x*g_j are the forms
+        ``trace_forms[j]`` wrapped to int64, and the codec's
+        ``np_maybe_in_bound`` keeps a superset of the in-bound candidates.
+        Exact rows, on int64 or on two limbs as the kind says, are made for
+        two subsets only: the candidates that share a hash with another
+        row, from their links inside ``_first_rows`` (``_gather``), and the
+        new candidates that pass the wrapped bound test, which are returned
+        and which ``_record`` tests exactly.
+        """
+        wide = kind is _WIDE
+        n_old = len(older) + len(frontier)
+        keeps = self._keeps(last)
+        key = np.empty(n_old + sum(map(int, map(np.count_nonzero, keeps))),
+                       dtype=np.uint64)
+        key[:len(older)], key[len(older):n_old] = hashes
+        cols = _columns(frontier, self.width)
+        codec = self.codec
+        # per direction with candidates: j, its start in key, and the
+        # offsets there of the candidates that may be in bound; the
+        # frontier is read in blocks of _CHUNK rows
+        parts = []
+        at = n_old
+        for j, (gen, keep) in enumerate(zip(self.dirs, keeps)):
+            start, offsets = at, []
+            for i in range(0, len(frontier) if keep.any() else 0, _CHUNK):
+                block = [_take(col, slice(i, i + _CHUNK)) for col in cols]
+                kept = keep[i:i + _CHUNK]
+                end = at + int(np.count_nonzero(kept))
+                np.compress(kept, _product_hash(
+                    block, gen, self.hash_forms[j], codec.p), out=key[at:end])
+                traces = _wrapped(block, self.trace_forms[j])
+                maybe = codec.np_maybe_in_bound(block, gen, traces)
+                offsets.append(np.flatnonzero(maybe[kept]) + (at - start))
+                at = end
+            if at > start:
+                parts.append((j, start, np.concatenate(offsets)))
+        if not parts:
+            return frontier[:0], (last[:0], np.arange(0)), 0
+        starts = np.array([0, len(older)] + [at for _, at, _ in parts])
+        sources = [older.T, frontier.T] + [j for j, _, _ in parts]
+        first = _first_rows(key, lambda pos: self._gather(
+            pos, starts, sources, frontier, keeps, wide))
+        del key
+        new = int(np.count_nonzero(first[n_old:]))
+        rows, dirs, parents = [], [], []
+        for j, at, offsets in parts:
+            x = np.flatnonzero(keeps[j])[offsets[first[at + offsets]]]
+            rows.append(np.column_stack(_flat(self._exact(frontier[x], j,
+                                                          wide))))
+            dirs.append(np.full(len(x), j, dtype=np.int16))
+            parents.append(x)
+        return (np.concatenate(rows),
+                (np.concatenate(dirs), np.concatenate(parents)), new)
+
+    def _gather(self, pos, starts, sources, frontier, keeps, wide):
         """The int64 columns of the rows at positions pos of a level's hash
-        array, yielded one column at a time.  The array holds, from each of
-        ``starts`` on, the rows of ``sources``: columns, read in place, or
-        a direction j, whose candidates are rebuilt from their links, one
-        batch per direction."""
+        array, yielded one column at a time, on two limbs when the level is
+        wide.  The array holds, from each of ``starts`` on, the rows of
+        ``sources``: columns, read in place and widened where the level is
+        wide and they are not, or a direction j, whose candidates are
+        rebuilt from their links, one batch per direction."""
         part = np.searchsorted(starts, pos, side="right") - 1
         batches = []        # (where in pos, columns, their rows)
         for s in np.unique(part).tolist():
@@ -774,13 +959,15 @@ class _Search:
             source = sources[s]
             if isinstance(source, int):
                 parents = np.flatnonzero(keeps[source])[idx]
-                cols = self.codec.np_mul(
-                    _columns(frontier[parents], self.width),
-                    self.dirs[source], self.forms[source])
-                batches.append((where, _flat(cols), slice(None)))
+                cols = _flat(self._exact(frontier[parents], source, wide))
+                batches.append((where, cols, slice(None)))
+            elif wide and len(source) == self.width:
+                cols = [half for col in source for half in
+                        (col[idx] >> _LIMB_BITS, col[idx] & _LIMB_MASK)]
+                batches.append((where, cols, slice(None)))
             else:
                 batches.append((where, source, idx))
-        for k in range(frontier.shape[1]):
+        for k in range(len(batches[0][1])):
             col = np.empty(len(pos), dtype=np.int64)
             for where, cols, idx in batches:
                 col[where] = cols[k][idx]

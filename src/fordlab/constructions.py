@@ -454,10 +454,12 @@ def build(target: str, param: int | None = None, *,
     """Materialize a named construction with exact matrices and domains.
 
     The target's kind and parameter rules are TraceSetModel's; build adds
-    only its own: a parameter is required, principal needs n >= 2, and
-    gamma0:1 is the modular construction.
+    only its own: modular takes no parameter and every other kind needs
+    one, principal needs n >= 2, and gamma0:1 is the modular construction.
     """
     if target == "modular":
+        if param is not None:
+            raise UnsupportedParameter("target 'modular' takes no parameter")
         return _build_modular()
     if param is None:
         raise UnsupportedParameter(f"target {target!r} needs a parameter")

@@ -69,7 +69,7 @@ def square_free_decompose(n: int) -> tuple[int, int]:
     m = n
     # strip perfect-square part of the small prime factors
     p = 2
-    while p * p <= m and p <= _SQUAREFREE_TRIAL_LIMIT:
+    while p * p * p <= m and p <= _SQUAREFREE_TRIAL_LIMIT:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -80,14 +80,15 @@ def square_free_decompose(n: int) -> tuple[int, int]:
                 q *= p
         p += 1 if p == 2 else 2
     if m > 1:
-        # m is a prime (the loop stopped at p*p > m), or every prime
-        # factor of m exceeds the trial limit L; three such factors make
-        # m > L**3, so an m < L**3 is a prime, a product of two primes
-        # (square-free unless they are equal) or a square
+        # every prime factor of m is at least p, since the loop divided out
+        # all smaller ones, and three such factors make m >= p**3; so an
+        # m < p**3 is a prime, a product of two primes (square-free unless
+        # they are equal) or a square.  The loop stops at p**3 > m, or past
+        # the trial limit, after which a larger m is refused
         r = isqrt(m)
         if r * r == m:
             s *= r
-        elif m < _SQUAREFREE_TRIAL_LIMIT ** 3:
+        elif m < p * p * p:
             q *= m
         else:
             raise ValueError(f"residual factor {m} too large to certify square-free")

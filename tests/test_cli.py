@@ -21,7 +21,7 @@ from fordlab.cli import (
     main,
     parse_target,
 )
-from fordlab.constructions import UnsupportedParameter
+from fordlab.constructions import UnsupportedParameter, build
 from fordlab.exactnum import qv_parse
 
 
@@ -233,6 +233,19 @@ def test_bad_search_input_is_usage_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_parameter_on_modular_is_usage_error(tmp_path, capsys, command):
+    # modular names one group; gamma0:1 is the way to ask for it by level
+    out = ["--report", str(tmp_path / "r.json")] if command == "verify" else [
+        "--out", str(tmp_path / "r.svg")]
+    assert run([command, "--target", "modular:3", *out]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not list(tmp_path.iterdir())
+    assert captured.err == "error: target 'modular' takes no parameter\n"
+    assert parse_target("gamma0:1") == ("gamma0", 1)
+    assert build("gamma0", 1).model.kind == "modular"
 
 
 def test_parallelism_flag_is_rejected(tmp_path):

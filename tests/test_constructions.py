@@ -1,6 +1,9 @@
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from fordlab.geometry import (
     isometric_disk,
 )
 import fordlab.constructions
+import fordlab.exactnum
 from fordlab.moebius import bianchi_omega, from_ints, mm_format
 from fordlab.constructions import (
     SearchExhausted,
@@ -312,6 +316,41 @@ LARGE_RESIDUAL_D = [699, 723, 739, 759, 823, 859, 907, 955, 1003, 1059, 1067,
                     1803, 1831, 1887, 1907, 1927, 1943, 1963]
 
 
+@lru_cache(maxsize=None)
+def _primes_to(limit):
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve)
+
+
+def _assert_square_free_split(n, s, q):
+    """s*s*q = n, and q is square-free by trial division with every prime up
+    to 10**6: q mod each prime, from q's 41-bit halves, finds the primes
+    that divide it; what is left has no prime factor up to 10**6, so below
+    10**18 it has at most two and is square-free unless a square."""
+    assert s * s * q == n and 0 < q < 1 << 82
+    primes = _primes_to(10 ** 6)
+    hi, lo = divmod(q, 1 << 41)
+    rest = q
+    residues = (hi % primes * ((1 << 41) % primes) + lo % primes) % primes
+    for r in primes[residues == 0].tolist():
+        assert q % (r * r)
+        rest //= r
+    assert rest < 10 ** 18 and (rest == 1 or isqrt(rest) ** 2 != rest)
+
+
 @pytest.mark.parametrize("d", LARGE_RESIDUAL_D)
-def test_bianchi_with_large_residual_factor_is_verified(d):
+def test_bianchi_with_large_residual_factor_is_verified(monkeypatch, d):
+    # and every radicand split on the way is split as trial division by all
+    # primes up to 10**6 certifies
+    seen = set()
+    decompose = fordlab.exactnum.square_free_decompose
+    monkeypatch.setattr(fordlab.exactnum, "square_free_decompose",
+                        lambda n: seen.add(n) or decompose(n))
     assert verify_construction(build("bianchi", d), 2, 1).verdict == "Verified"
+    assert max(seen) > 10 ** 12
+    for n in seen:
+        _assert_square_free_split(n, *decompose(n))

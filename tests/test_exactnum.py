@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +130,28 @@ def test_squarefree_decompose_past_the_trial_limit():
     assert square_free_decompose(12 * 1000003 * 1000033) == (2, 3000108000297)
     with pytest.raises(ValueError, match="too large to certify"):
         square_free_decompose(1000003 * 1000033 * 1000037)
+
+
+def test_squarefree_decompose_matches_factorization():
+    # every n up to 2 * 10**5 against its factorization by a sieve of least
+    # prime factors
+    limit = 2 * 10 ** 5
+    least = list(range(limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if least[p] == p:
+            for k in range(p * p, limit + 1, p):
+                if least[k] == k:
+                    least[k] = p
+    for n in range(1, limit + 1):
+        s, q, m = 1, 1, n
+        while m > 1:
+            p, e = least[m], 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            s *= p ** (e // 2)
+            q *= p ** (e % 2)
+        assert square_free_decompose(n) == (s, q), n
 
 
 def test_sqrt_qv():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fordlab import _bfs
 from fordlab._bfs import (
     _columns,
+    _compose,
     _ExactCodec,
     _first_rows,
     _flat,
@@ -17,11 +18,13 @@ from fordlab._bfs import (
     _make_codec,
     _make_positive,
     _PairCodec,
+    _product_hash,
     _py_rows,
     _row_hash,
     _Search,
     _widen,
     _within,
+    _wrapped,
 )
 from fordlab.exactnum import MixedRadicand, QuadValue
 from fordlab.moebius import (
@@ -328,18 +331,25 @@ def _spy_levels(monkeypatch):
     """Record (kind, codec type) of every level the driver runs past int64:
     "two-limb" numpy levels and "python" levels."""
     seen = []
-    np_level, py_level = _Search._np_level, _Search._py_level
+    np_level, last_level = _Search._np_level, _Search._last_level
+    py_level = _Search._py_level
 
     def np_spy(self, frontier, *args):
         if frontier.shape[1] != self.width:
             seen.append(("two-limb", type(self.codec)))
         return np_level(self, frontier, *args)
 
+    def last_spy(self, frontier, last, older, hashes, kind):
+        if kind == "two-limb":
+            seen.append((kind, type(self.codec)))
+        return last_level(self, frontier, last, older, hashes, kind)
+
     def py_spy(self, *args):
         seen.append(("python", type(self.codec)))
         return py_level(self, *args)
 
     monkeypatch.setattr(_Search, "_np_level", np_spy)
+    monkeypatch.setattr(_Search, "_last_level", last_spy)
     monkeypatch.setattr(_Search, "_py_level", py_spy)
     return seen
 
@@ -477,16 +487,50 @@ def test_two_limb_guard_bounds_coefficient_sums(monkeypatch, form_max, kinds):
     assert result.states_explored == plain.states_explored
 
 
-def test_bianchi_19_cross_check_has_one_two_limb_level(monkeypatch):
-    # the 15-generator cross-check of bianchi:19 at (4, 40): level 4 runs
-    # on two limbs, entries up to 141,023
+def test_bianchi_19_cross_check_last_level_builds_few_rows(monkeypatch):
+    # the 15-generator cross-check of bianchi:19 at (4, 40), entries up to
+    # 141,023: level 4, the last, is a two-limb level that reads the int64
+    # frontier of level 3, and makes exact rows, on two limbs, only for
+    # its new in-bound candidates and for those that share a hash
     from fordlab.constructions import CROSS_CHECK_LEN, build
     seen = _spy_levels(monkeypatch)
+    last_level, exact, gather = (_Search._last_level, _Search._exact,
+                                 _Search._gather)
+    frontiers, returned, built, shared = [], [], [], []
+
+    def last_spy(self, frontier, *args):
+        frontiers.append(frontier.shape)
+        out = last_level(self, frontier, *args)
+        returned.append(len(out[0]))
+        return out
+
+    def exact_spy(self, rows, j, wide):
+        cols = exact(self, rows, j, wide)
+        if len(self.links) == CROSS_CHECK_LEN:
+            built.append((len(rows), rows.shape[1], len(_flat(cols))))
+        return cols
+
+    def gather_spy(self, pos, starts, *args):
+        # the candidates follow the two old levels
+        if len(self.links) == CROSS_CHECK_LEN:
+            shared.append(int(np.count_nonzero(pos >= starts[2])))
+        return gather(self, pos, starts, *args)
+
+    monkeypatch.setattr(_Search, "_exact", exact_spy)
+    monkeypatch.setattr(_Search, "_gather", gather_spy)
+    monkeypatch.setattr(_Search, "_last_level", last_spy)
     result = enumerate_traces(build("bianchi", 19).combined_gens,
                               CROSS_CHECK_LEN, 40)
     assert CROSS_CHECK_LEN == 4
     assert seen == [("two-limb", _PairCodec)]
     assert result.states_explored == 607_782
+    assert frontiers[0][1] == 8
+    # every exact row is a product of an int64 parent row, on two limbs
+    assert {(width, out) for _, width, out in built} == {(8, 16)}
+    # the in-bound rows, then those that share a hash
+    assert sum(rows for rows, _, _ in built) == returned[0] + sum(shared)
+    # 4,208 in-bound rows and the 1,472 repeated candidates, of 586,928
+    assert (returned, sum(shared)) == ([4_208], 1_472)
 
 
 def test_bianchi_3_cross_check_stays_on_int64(monkeypatch):
@@ -518,12 +562,12 @@ def test_int64_guard_is_the_per_column_bound(b, kind):
     older = frontier[:0]
     got, hashes, _, new = search._np_level(
         frontier, np.array([-1, -1], np.int16), older,
-        [_row_hash(older.T), _row_hash(frontier.T)])
+        [search._hash(older), search._hash(frontier)])
     want = sorted({search.codec.mul(r, g) for r in rows for g in search.dirs})
     # level rows are in generation order
     assert sorted(_py_rows(got, 4)) == want and new == len(want)
     # each new row keeps its own hash
-    assert hashes.tolist() == _row_hash(got.T).tolist()
+    assert hashes.tolist() == search._hash(got).tolist()
 
 
 def test_guard_runs_with_no_directions():
@@ -597,43 +641,59 @@ def test_pair_kernel_matches_reference_on_random_bianchi(d, words, max_len,
                               max_len, bound, same_words=d % 4 != 3)
 
 
+def _collide(mp, low_bits):
+    """Patch the row hash's multipliers, before a search, so that the hash
+    reads only the low_bits low bits of the first coordinate: 0 puts every
+    row in one run, None leaves the hash as it is.  The last level's
+    forms are read from the same multipliers, so both paths collide
+    alike."""
+    if low_bits is not None:
+        mp.setattr(_bfs, "_HASH_MULS",
+                   [(1 << 64 - low_bits) % (1 << 64)] + [0] * 7)
+
+
 def _assert_collisions_change_nothing(gens, max_len, bound, low_bits,
                                       same_words=True):
-    """A run whose row hash keeps only the low bits of the first column (0
-    bits: every row collides; None: the row hash itself) equals the plain
-    run and the reference, and each numpy level hashed exactly the
-    candidates that the skip table leaves.  Returns the row widths that the
-    hash saw, and the widths of the levels at max_len whose exact compares
-    rebuilt candidate rows from their links."""
+    """A run whose row hash reads only the low bits of the first coordinate
+    (``_collide``) equals the plain run and the reference, and each numpy
+    level hashed exactly the candidates that the skip table leaves.
+    Returns the row widths that the exact compares saw, and the widths of
+    the levels at max_len whose exact compares rebuilt candidate rows from
+    their links."""
     plain = enumerate_traces(gens, max_len, bound)
-    widths, sizes, levels, rebuilt = [], [], [], set()
-    row_hash, np_level, gather = _bfs._row_hash, _Search._np_level, _Search._gather
+    widths, keys, levels, rebuilt = [], [], [], set()
+    first_rows, gather = _bfs._first_rows, _Search._gather
 
-    def degenerate(cols):
+    def first_spy(hashes, *args):
+        keys.append(len(hashes))
+        return first_rows(hashes, *args)
+
+    def level_spy(level):
+        def spy(self, frontier, last, older, *args):
+            before = len(keys)
+            out = level(self, frontier, last, older, *args)
+            # direction j multiplies the frontier rows it does not skip
+            candidates = sum(np.count_nonzero(~self.skip[j][last])
+                             for j in range(len(self.dirs)))
+            hashed = sum(keys[before:]) - (len(older) + len(frontier)) * (
+                len(keys) > before)
+            levels.append((candidates, hashed))
+            return out
+        return spy
+
+    def gather_spy(self, pos, starts, *args):
+        cols = list(gather(self, pos, starts, *args))
         widths.append(len(cols))
-        sizes.append(len(cols[0]))
-        if low_bits is None:
-            return row_hash(cols)
-        return cols[0].view(np.uint64) & np.uint64((1 << low_bits) - 1)
-
-    def spy(self, frontier, last, *args):
-        before = len(sizes)
-        out = np_level(self, frontier, last, *args)
-        # direction j multiplies the frontier rows it does not skip
-        candidates = sum(np.count_nonzero(~self.skip[j][last])
-                         for j in range(len(self.dirs)))
-        levels.append((candidates, sum(sizes[before:])))
-        return out
-
-    def gather_spy(self, pos, starts, sources, frontier, *args):
         # the candidates follow the two old levels
         if len(self.links) == max_len and (pos >= starts[2]).any():
-            rebuilt.add(frontier.shape[1])
-        return gather(self, pos, starts, sources, frontier, *args)
+            rebuilt.add(len(cols))
+        return iter(cols)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_bfs, "_row_hash", degenerate)
-        mp.setattr(_Search, "_np_level", spy)
+        _collide(mp, low_bits)
+        mp.setattr(_bfs, "_first_rows", first_spy)
+        mp.setattr(_Search, "_np_level", level_spy(_Search._np_level))
+        mp.setattr(_Search, "_last_level", level_spy(_Search._last_level))
         mp.setattr(_Search, "_gather", gather_spy)
         forced = enumerate_traces(gens, max_len, bound)
     assert all(candidates == hashed for candidates, hashed in levels)
@@ -701,7 +761,8 @@ def test_forced_collisions_on_both_final_level_kinds(gens, max_len, width,
 
 def test_final_two_limb_level_rebuilds_repeated_rows():
     # with the row hash itself, the 37 repeated rows among the 2,151
-    # candidates of the final level are rebuilt on two limbs
+    # candidates of the final level are rebuilt on two limbs from the int64
+    # frontier
     widths, rebuilt = _assert_collisions_change_nothing(
         _COMMUTING_TWO_LIMB, 4, 20, None, same_words=False)
     assert max(widths) == 16 and rebuilt == {16}
@@ -710,12 +771,16 @@ def test_final_two_limb_level_rebuilds_repeated_rows():
 @pytest.mark.parametrize("gens, max_len, width", _FINAL_LEVELS, ids=_FINAL_IDS)
 def test_state_cap_boundary_on_final_level(monkeypatch, gens, max_len, width):
     widths = []
-    row_hash = _bfs._row_hash
-    monkeypatch.setattr(_bfs, "_row_hash",
-                        lambda cols: widths.append(len(cols))
-                        or row_hash(cols))
+    last_level = _Search._last_level
+
+    def spy(self, *args):
+        out = last_level(self, *args)
+        widths.append(out[0].shape[1])
+        return out
+
+    monkeypatch.setattr(_Search, "_last_level", spy)
     total = enumerate_traces(gens, max_len, 20).states_explored
-    assert widths[-1] == width
+    assert widths == [width]
     # the final level adds at least two states, so a cap of total - 1
     # is first exceeded there
     assert enumerate_traces(gens, max_len - 1, 20).states_explored < total - 1
@@ -919,6 +984,169 @@ def test_np_mul_on_two_limbs_matches_mul(codec, data):
     assert _py_rows(out, width) == [codec.mul(row, gen) for row in rows]
 
 
+def _letters(codec, k, v):
+    """Generator rows of T^x, L^x and S, each with its inverse: x = k, or
+    x = k + v*omega over Q(sqrt(-d)); with a radicand p, L^(p*k) and
+    W = [[0, -1], [p, 0]] / sqrt(p) in place of L^k and S."""
+    if isinstance(codec, _PairCodec):
+        return [((1, 0, k, v, 0, 0, 1, 0), (1, 0, -k, -v, 0, 0, 1, 0)),
+                ((1, 0, 0, 0, k, v, 1, 0), (1, 0, 0, 0, -k, -v, 1, 0)),
+                ((0, 0, -1, 0, 1, 0, 0, 0), (0, 0, 1, 0, -1, 0, 0, 0))]
+    p, e = (1, ()) if codec.p is None else (codec.p, (0,))
+    return [((1, k, 0, 1) + e, (1, -k, 0, 1) + e),
+            ((1, 0, p * k, 1) + e, (1, 0, -p * k, 1) + e),
+            ((0, -1, p, 0) + (1,) * len(e), (0, 1, -p, 0) + (1,) * len(e))]
+
+
+def _shaped(codec, row, trace):
+    """A codec row from integers: the last coordinate of d (of d's pair over
+    Q(sqrt(-d))) set so that the trace is the given one, and with a radicand
+    p the shape of Gamma0(p), or the Atkin-Lehner shape when row[4] is 1."""
+    row = list(row)
+    if isinstance(codec, _PairCodec):
+        row[6], row[7] = trace[0] - row[0], trace[1] - row[1]
+        return tuple(row)
+    row[3] = trace[0] - row[0]
+    if codec.p is not None:
+        p, e = codec.p, row[4] & 1
+        row = [p * row[0] if e else row[0], row[1], p * row[2],
+               p * row[3] if e else row[3], e]
+    return tuple(row)
+
+
+def _limb_columns(rows, width):
+    """The limb columns of rows of Python ints below 2**93."""
+    return _columns(np.array([[half for v in row for half in divmod(v, _LIMB)]
+                              for row in rows], dtype=np.int64), width)
+
+
+# every integer codec: plain, with the radicands 7 and 2 (an even p
+# divides wrapped traces by a non-unit), and Q(sqrt(-d)) for d = 1 and 2,
+# and for d = 3 and 19, which are 3 mod 4
+_LAST_CODECS = [(None, None), (None, 7), (None, 2), (1, None), (2, None),
+                (3, None), (19, None)]
+_HUGE_BOUNDS = [0, 3, 40, (1 << 62), (1 << 63) - 1, 1 << 63, 1 << 64,
+                (1 << 124) + (1 << 64), 1 << 126, 1 << 200]
+
+
+def _draw_last_level_case(data):
+    """A codec, a direction gen with its matrix, rows x and the exact
+    canonical products x*gen.  The rows are int64 rows up to 2**61, rows
+    up to 2**85 on two limbs, or x = y * gen^-1 for y up to 2**80 with a
+    trace that is small or up to 2**70, so that products past 2**63 keep
+    traces in bound; with a radicand, rows of either scale."""
+    d, p = data.draw(st.sampled_from(_LAST_CODECS))
+    bound = Fraction(data.draw(st.sampled_from(_HUGE_BOUNDS)
+                               | st.integers(0, 100)))
+    codec = _IntCodec(bound, p) if d is None else _PairCodec(d, bound)
+    width = len(codec.ident)
+    small = st.integers(-3, 3)
+    word = data.draw(st.lists(st.tuples(st.integers(0, 2), st.booleans(),
+                                        small, small), min_size=1, max_size=2))
+    gen = ginv = codec.ident
+    for i, inverse, k, v in word:
+        letter, back = _letters(codec, k, v)[i]
+        if inverse:
+            letter, back = back, letter
+        gen, ginv = codec.mul(gen, letter), codec.mul(back, ginv)
+    assert codec.mul(gen, ginv) == codec.ident
+    form = list(zip(*(codec._product(unit, gen)
+                      for unit in np.eye(width, dtype=int).tolist())))
+    top = data.draw(st.sampled_from([1 << 61, 1 << 85, 1 << 80]))
+    entry = (st.integers(-top, top) | st.integers(top >> 8, top)
+             | st.sampled_from([top, -top, top - 1, 1 - top, 0, 1, -1]))
+    near = min(int(bound) + 2, 1 << 70)     # traces about the bound
+    trace = (st.integers(-3, 3) | st.integers(-near, near)
+             | st.sampled_from([near - 2, 2 - near, near // 2, near])
+             | st.integers(-(1 << 70), 1 << 70))
+    rows = data.draw(st.lists(
+        st.tuples(st.tuples(*[entry] * width), st.tuples(trace, trace)),
+        min_size=1, max_size=8))
+    rows = [_shaped(codec, row, t) for row, t in rows]
+    if top == 1 << 80:
+        rows = [codec.mul(y, ginv) for y in rows]
+    return codec, gen, form, rows, [codec.mul(x, gen) for x in rows]
+
+
+def _column_kinds(rows, width):
+    """The rows as limb columns, and as int64 columns where they fit."""
+    kinds = [_limb_columns(rows, width)]
+    if all(abs(v) < 1 << 63 for row in rows for v in row):
+        kinds.append(_columns(np.array(rows, dtype=np.int64), width))
+    return kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_product_hash_is_the_row_hash_of_the_product(data):
+    """The last level's hash of x*gen, read off the row x by its linear
+    form, equals _row_hash of the exact canonical product, on int64 and on
+    two-limb rows x."""
+    codec, gen, form, rows, products = _draw_last_level_case(data)
+    width = len(codec.ident)
+    want = _row_hash(_limb_columns(products, width), codec.p).tolist()
+    hash_form = _compose([_bfs._HASH_MULS], form)[0]
+    for cols in _column_kinds(rows, width):
+        assert _product_hash(cols, gen, hash_form, codec.p).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_row_hash_ignores_sign_and_limbs(data):
+    """A row, its negation (of a, b, c and d with a scale column) and its
+    two-limb widening share one row hash."""
+    codec, _, _, rows, _ = _draw_last_level_case(data)
+    width = len(codec.ident)
+    signed = 4 if codec.p is not None else width
+    rows = [row for row in rows if max(map(abs, row)) < 1 << 62]
+    assume(rows)
+    negated = [tuple(-v for v in row[:signed]) + row[signed:] for row in rows]
+    array = np.array(rows, dtype=np.int64)
+    want = _row_hash(_columns(array, width), codec.p).tolist()
+    assert _row_hash(_columns(np.array(negated, dtype=np.int64), width),
+                     codec.p).tolist() == want
+    assert _row_hash(_columns(_widen(array), width), codec.p).tolist() == want
+    assert _row_hash(_limb_columns(negated, width), codec.p).tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_wrapped_bound_test_keeps_every_in_bound_product(data):
+    """Every product x*gen whose exact trace passes the codec's bound test
+    passes the wrapped test on x's int64-wrapped trace forms, products and
+    traces past 2**63 included."""
+    codec, gen, form, rows, products = _draw_last_level_case(data)
+    width = len(codec.ident)
+    exact = codec.np_in_bound(_linear(_limb_columns(products, width),
+                                      codec.trace_form))
+    trace_forms = _compose(codec.trace_form, form)
+    for cols in _column_kinds(rows, width):
+        traces = _wrapped(cols, trace_forms)
+        maybe = codec.np_maybe_in_bound(cols, gen, traces)
+        assert not (exact & ~maybe).any()
+    # trace_key, which records the traces, reads only in-bound rows
+    for product, ok in zip(products, exact.tolist()):
+        assert ok or codec.trace_key(product) is None
+
+
+def test_wrapped_bound_test_divides_products_of_scaled_rows():
+    # x = [[7a, b], [7c, 7d]] / sqrt(7) times W = [[0, -1], [7, 0]] / sqrt(7)
+    # is [[b, -a], [7d, -c]], of trace b - c: 40 is in bound 40 and 41 is
+    # not, though the undivided traces, 280 and 287, are both past it
+    codec = _IntCodec(Fraction(40), 7)
+    w = (0, -1, 7, 0, 1)
+    form = list(zip(*(codec._product(unit, w)
+                      for unit in np.eye(5, dtype=int).tolist())))
+    rows = [(7 << 70, 40 + c, 7 * c, 7 << 66, 1) for c in (0, 1 << 65)]
+    rows += [(7 << 70, 41 + c, 7 * c, 7 << 66, 1) for c in (0, 1 << 65)]
+    assert [codec.trace_key(codec.mul(x, w)) for x in rows] == [
+        (40, 0), (40, 0), None, None]
+    cols = _limb_columns(rows, 5)
+    traces = _wrapped(cols, _compose(codec.trace_form, form))
+    assert codec.np_maybe_in_bound(cols, w, traces).tolist() == [
+        True, True, False, False]
+
+
 @settings(max_examples=200, deadline=None)
 @given(codec=st.sampled_from(_NP_MUL_CODECS), wide=st.booleans(),
        data=st.data())
@@ -1000,6 +1228,27 @@ def test_first_rows_marks_first_occurrences(pool, width, n, seed, distinct,
     assert _first_rows(hashes, lambda pos: rows[pos].T).tolist() == want
 
 
+def test_first_rows_allocates_at_most_2_bytes_per_key():
+    # 2**21 keys with a forced run of 4,096 different rows under one hash:
+    # beyond its input, _first_rows holds one mask and chunk-sized
+    # temporaries, whatever the runs
+    import tracemalloc
+    n = 1 << 21
+    hashes = np.random.default_rng(0).integers(0, 1 << 63, n, dtype=np.uint64)
+    hashes[::512] = hashes[0]
+    rows = np.arange(n, dtype=np.int64)
+    # one run of two different rows first, for numpy's one-time setup
+    assert _first_rows(np.zeros(2, np.uint64), lambda pos: iter([pos])).all()
+    tracemalloc.start()
+    try:
+        first = _first_rows(hashes, lambda pos: iter([rows[pos]]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.all()
+    assert peak <= 2 * n
+
+
 def _permute_levels(monkeypatch, seed):
     """Make the driver permute the rows of each numpy level, with their
     hashes and links, before the level becomes the frontier."""
@@ -1055,7 +1304,8 @@ def _spy_links(monkeypatch):
     """Record every level the driver makes: (search, the level before, the
     level, its links), each level as a list of states."""
     seen = []
-    np_level, py_level = _Search._np_level, _Search._py_level
+    np_level, last_level = _Search._np_level, _Search._last_level
+    py_level = _Search._py_level
 
     def np_spy(self, frontier, *args):
         rows, hashes, links, new = np_level(self, frontier, *args)
@@ -1063,12 +1313,20 @@ def _spy_links(monkeypatch):
                      _py_rows(rows, self.width), links))
         return rows, hashes, links, new
 
+    def last_spy(self, frontier, *args):
+        # only the new in-bound rows of the last level, with their links
+        rows, links, new = last_level(self, frontier, *args)
+        seen.append((self, _py_rows(frontier, self.width),
+                     _py_rows(rows, self.width), links))
+        return rows, links, new
+
     def py_spy(self, frontier, *args):
         rows, links = py_level(self, frontier, *args)
         seen.append((self, frontier, rows, links))
         return rows, links
 
     monkeypatch.setattr(_Search, "_np_level", np_spy)
+    monkeypatch.setattr(_Search, "_last_level", last_spy)
     monkeypatch.setattr(_Search, "_py_level", py_spy)
     return seen
 
@@ -1099,9 +1357,9 @@ def test_links_replay(monkeypatch, gens, max_len, bound):
                         if mul(row, g) in before_set) == j
 
 
-def test_enumeration_peak_is_below_50_bytes_per_state():
-    # the last level of gamma0:5's first subgroup at (60, 13) sets the peak;
-    # it keeps only its hashes and in-bound rows besides the two old levels
+def test_enumeration_peak_is_below_32_bytes_per_state():
+    # gamma0:5's first subgroup at (60, 13); its last level makes only its
+    # hashes and its in-bound rows besides the two old levels
     import tracemalloc
     from fordlab.constructions import build
     gens = build("gamma0", 5).subgroups[0].gens
@@ -1112,7 +1370,7 @@ def test_enumeration_peak_is_below_50_bytes_per_state():
     finally:
         tracemalloc.stop()
     assert result.states_explored == 3_188_645
-    assert peak < 50 * result.states_explored
+    assert peak < 32 * result.states_explored
 
 
 def test_state_cap_raises():
