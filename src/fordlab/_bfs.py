@@ -30,13 +30,14 @@ level keeps the first occurrence of each new row in generation order,
 found by row hash on numpy levels and by a set on Python-int and exact
 levels.  So each state's link names the first direction that reaches it
 from the level before, and each trace is witnessed by the least state, in
-numeric row order, that has it.  A numpy level's row hashes are made
-once, with the level, and kept beside its rows; a row hash reads
-coordinate values, so widening a level keeps them.  The last level is
-never a frontier, and its rows are not all made: the hashes and trace
-columns of its candidates are linear forms mod 2**64 in the frontier
-rows, and exact rows are made only for the candidates that may be in
-bound and for those whose hash another row shares.
+numeric row order, that has it.  A numpy level makes no candidate rows:
+their hashes, and on the last level their trace columns, are linear forms
+mod 2**64 in the frontier rows.  Exact rows are made only for the
+candidates whose hash another row shares and for the new ones; the last
+level is never a frontier, so of its new candidates only those that may
+be in bound are made.  A row hash reads coordinate values, so an int64
+row and its two limbs hash alike; each level's hashes are made once, with
+the level.
 """
 
 from __future__ import annotations
@@ -680,8 +681,8 @@ class _Search:
             units = np.eye(self.width, dtype=int).tolist()
             self.forms = [list(zip(*(codec._product(u, g) for u in units)))
                           for g in self.dirs]
-            # the last level's forms in x: the hash sum and the trace
-            # columns of the undivided x*g (see _last_level)
+            # forms in x of the undivided x*g: its hash sum and its trace
+            # columns (see _np_level)
             self.hash_forms = [_compose([_HASH_MULS], form)[0]
                                for form in self.forms]
             self.trace_forms = [_compose(codec.trace_form, form)
@@ -748,17 +749,12 @@ class _Search:
             kind = _INT64
             frontier = np.array(frontier, dtype=np.int64)
             last = np.array(last, dtype=np.int16)
-        older = frontier[:0]    # level L-2, in the form of the frontier
-        if kind is _INT64:
-            # the row hashes of older and of the frontier, which two limbs
-            # leave as they are
-            hashes = [self._hash(older), self._hash(frontier)]
+            # the row hashes of older and of the frontier
+            hashes = [self._hash(frontier[:0]), self._hash(frontier)]
+        older = frontier[:0]    # level L-2
         for level in range(1, max_len + 1):
             step = self._kind(kind, frontier)
-            final = level == max_len
-            if step is _WIDE and kind is _INT64 and not final:
-                frontier, older = _widen(frontier), _widen(older)
-            elif step is _PY and kind is not _PY:
+            if step is _PY and kind is not _PY:
                 frontier = _py_rows(frontier, self.width)
                 older = _py_rows(older, self.width)
                 last = last.tolist()
@@ -766,12 +762,9 @@ class _Search:
             if kind is _PY:
                 rows, links = self._py_level(frontier, last, older)
                 new = len(rows)
-            elif final:
-                rows, links, new = self._last_level(frontier, last, older,
-                                                    hashes, kind)
             else:
                 rows, row_hashes, links, new = self._np_level(
-                    frontier, last, older, hashes)
+                    frontier, last, older, hashes, kind, level == max_len)
                 hashes = [hashes[1], row_hashes]
             older = frontier
             if not new:
@@ -799,105 +792,43 @@ class _Search:
     def _hash(self, rows):
         return _row_hash(_columns(rows, self.width), self.codec.p)
 
+    def _widened(self, rows, wide):
+        # numpy rows, on two limbs when the level is wide
+        return _widen(rows) if wide and rows.shape[1] == self.width else rows
+
     def _exact(self, rows, j, wide):
         # the columns of the canonical products x*dirs[j] of numpy rows x,
         # on two limbs when the level is wide
-        if wide and rows.shape[1] == self.width:
-            rows = _widen(rows)
-        return self.codec.np_mul(_columns(rows, self.width), self.dirs[j],
-                                 self.forms[j])
+        return self.codec.np_mul(_columns(self._widened(rows, wide),
+                                          self.width),
+                                 self.dirs[j], self.forms[j])
 
-    def _candidates(self, frontier, keeps):
-        # per direction j, the columns of the canonical products x*dirs[j]
-        # over the frontier rows x that j does not skip; each masked copy
-        # has contiguous columns and dies with np_mul; the transpose of a
-        # column-major level is a view, not a copy
-        block = np.ascontiguousarray(frontier.T)
-        for j, keep in enumerate(keeps):
-            if keep.any():
-                yield j, self._exact(np.compress(keep, block, axis=1).T, j,
-                                     False)
+    def _np_level(self, frontier, last, older, hashes, kind, final):
+        """The level after ``frontier`` on numpy rows of the given kind, as
+        (rows, hashes, links, number of new states): its new rows in
+        generation order with their row hashes, and per row the direction
+        that reached it first and the index of its parent in the frontier.
+        ``hashes`` holds the row hashes of ``older`` and of the frontier.
+        The last level (``final``) is never a frontier: it keeps only its
+        new rows that may be in bound, which may witness a trace, with
+        their links, and no hashes.
 
-    def _np_level(self, frontier, last, older, hashes):
-        """The level after ``frontier`` on numpy rows, as (rows, hashes,
-        links, number of new states): its new rows in generation order with
-        their row hashes, and per row the direction that reached it first
-        and the index of its parent in the frontier.  ``hashes`` holds the
-        row hashes of ``older`` and of the frontier.  It makes every level
-        but the last (``_last_level``).
-
-        Numpy levels are column-major, so that each column is contiguous.
         The hashes of the two old levels, then of each direction's
-        candidates, hashed as they are made, go into one array, and
-        ``_first_rows`` marks the first occurrence of each row.  The two old
-        levels come first and are disjoint and deduplicated, so the marked
-        candidates are the new states, each at the least direction j that
-        reaches it; its parent is the frontier row x with x*dirs[j] the
-        row, unique since rows are canonical.  The exact compares of rows
-        that share a hash read the old levels and the candidates in place
-        (``_gather``).
-        """
-        n_old = len(older) + len(frontier)
-        keeps = self._keeps(last)
-        n = n_old + sum(map(int, map(np.count_nonzero, keeps)))
-        if n == n_old:
-            return frontier[:0], hashes[1][:0], (last[:0], np.arange(0)), 0
-        key = np.empty(n, dtype=np.uint64)
-        key[:len(older)], key[len(older):n_old] = hashes
-        # per direction: j, its span in key, its flat columns and hashes
-        parts = []
-        at = n_old
-        for j, cols in self._candidates(frontier, keeps):
-            part_hashes = _row_hash(cols, self.codec.p)
-            end = at + len(part_hashes)
-            key[at:end] = part_hashes
-            parts.append((j, at, end, _flat(cols), part_hashes))
-            at = end
-            del cols        # before the next direction's products
-        assert at == n
-        starts = np.array([0, len(older)] + [p[1] for p in parts])
-        sources = [older.T, frontier.T] + [flat for *_, flat, _ in parts]
-        first = _first_rows(key, lambda pos: self._gather(
-            pos, starts, sources, frontier, keeps, False))
-        del key
-        new = int(np.count_nonzero(first[n_old:]))
-        # per direction: which of its rows are new, and their links
-        news = []
-        for j, at, end, flat, part_hashes in parts:
-            pick = first[at:end]
-            news.append((flat, pick, part_hashes[pick],
-                         np.flatnonzero(keeps[j])[pick]))
-        sizes = [len(new_parents) for *_, new_parents in news]
-        rows = np.empty((new, frontier.shape[1]), dtype=np.int64, order="F")
-        at = 0
-        for (flat, pick, _, _), size in zip(news, sizes):
-            for k, col in enumerate(flat):
-                col.compress(pick, out=rows[at:at + size, k])
-            at += size
-        dirs = np.repeat(np.array([j for j, *_ in parts], dtype=np.int16),
-                         sizes)
-        return (rows, np.concatenate([h for _, _, h, _ in news]),
-                (dirs, np.concatenate([p for *_, p in news])), new)
-
-    def _last_level(self, frontier, last, older, hashes, kind):
-        """The last level after ``frontier`` on numpy rows of the given
-        kind, as (rows, links, number of new states).  The last level is
-        never a frontier, so it needs only the exact count of its new
-        states and its new in-bound rows, which may witness a trace, with
-        their links; it makes no row it does not need.
-
-        Its keys are laid out as in ``_np_level``, but a direction's
-        candidate hashes are read off the frontier rows x, never widened:
-        ``_product_hash`` by ``hash_forms[j]``, the linear form of x*g_j's
-        hash sum mod 2**64, of which only the result is compressed by the
-        skip table's mask.  The trace columns of x*g_j are the forms
-        ``trace_forms[j]`` wrapped to int64, and the codec's
-        ``np_maybe_in_bound`` keeps a superset of the in-bound candidates.
-        Exact rows, on int64 or on two limbs as the kind says, are made for
-        two subsets only: the candidates that share a hash with another
-        row, from their links inside ``_first_rows`` (``_gather``), and the
-        new candidates that pass the wrapped bound test, which are returned
-        and which ``_record`` tests exactly.
+        candidates, go into one array, and ``_first_rows`` marks the first
+        occurrence of each row.  A candidate x*g_j is hashed off the
+        frontier row x by ``hash_forms[j]`` (``_product_hash``), in blocks
+        of ``_CHUNK`` rows, and only the hashes are compressed by the skip
+        table's mask.  The two old levels come first and are disjoint and
+        deduplicated, so the marked candidates are the new states, each at
+        the least direction j that reaches it; its parent is the frontier
+        row x with x*g_j the row, unique since rows are canonical.  Exact
+        rows, on int64 or on two limbs as the kind says, are made only for
+        the candidates that share a hash with another row, from their links
+        inside ``_first_rows`` (``_gather``), and for the new ones, of which
+        the last level makes only those that pass the codec's
+        ``np_maybe_in_bound`` on the forms ``trace_forms[j]`` wrapped to
+        int64; ``_record`` tests them exactly.  The level's rows are
+        column-major, so that each column is contiguous.
         """
         wide = kind is _WIDE
         n_old = len(older) + len(frontier)
@@ -907,9 +838,8 @@ class _Search:
         key[:len(older)], key[len(older):n_old] = hashes
         cols = _columns(frontier, self.width)
         codec = self.codec
-        # per direction with candidates: j, its start in key, and the
-        # offsets there of the candidates that may be in bound; the
-        # frontier is read in blocks of _CHUNK rows
+        # per direction with candidates: j, its span in key, and on the last
+        # level the offsets there of the candidates that may be in bound
         parts = []
         at = n_old
         for j, (gen, keep) in enumerate(zip(self.dirs, keeps)):
@@ -920,57 +850,67 @@ class _Search:
                 end = at + int(np.count_nonzero(kept))
                 np.compress(kept, _product_hash(
                     block, gen, self.hash_forms[j], codec.p), out=key[at:end])
-                traces = _wrapped(block, self.trace_forms[j])
-                maybe = codec.np_maybe_in_bound(block, gen, traces)
-                offsets.append(np.flatnonzero(maybe[kept]) + (at - start))
+                if final:
+                    traces = _wrapped(block, self.trace_forms[j])
+                    maybe = codec.np_maybe_in_bound(block, gen, traces)
+                    offsets.append(np.flatnonzero(maybe[kept]) + (at - start))
                 at = end
             if at > start:
-                parts.append((j, start, np.concatenate(offsets)))
+                parts.append((j, start, at,
+                              np.concatenate(offsets) if final else None))
         if not parts:
-            return frontier[:0], (last[:0], np.arange(0)), 0
-        starts = np.array([0, len(older)] + [at for _, at, _ in parts])
-        sources = [older.T, frontier.T] + [j for j, _, _ in parts]
+            return frontier[:0], None, (last[:0], np.arange(0)), 0
+        starts = np.array([0, len(older)] + [start for _, start, *_ in parts])
+        sources = [older, frontier] + [j for j, *_ in parts]
         first = _first_rows(key, lambda pos: self._gather(
             pos, starts, sources, frontier, keeps, wide))
         del key
         new = int(np.count_nonzero(first[n_old:]))
-        rows, dirs, parents = [], [], []
-        for j, at, offsets in parts:
-            x = np.flatnonzero(keeps[j])[offsets[first[at + offsets]]]
-            rows.append(np.column_stack(_flat(self._exact(frontier[x], j,
-                                                          wide))))
-            dirs.append(np.full(len(x), j, dtype=np.int16))
-            parents.append(x)
-        return (np.concatenate(rows),
-                (np.concatenate(dirs), np.concatenate(parents)), new)
+        # per direction: j and the frontier rows x whose x*g_j is kept
+        picks = []
+        for j, start, end, offsets in parts:
+            pick = first[start:end]
+            if final:
+                pick = offsets[pick[offsets]]
+            picks.append((j, np.flatnonzero(keeps[j])[pick]))
+        del first
+        sizes = [len(x) for _, x in picks]
+        rows = np.empty((sum(sizes), (1 + wide) * self.width),
+                        dtype=np.int64, order="F")
+        at = 0
+        for (j, x), size in zip(picks, sizes):
+            for k, col in enumerate(_flat(self._exact(frontier[x], j, wide))):
+                rows[at:at + size, k] = col
+            at += size
+        dirs = np.repeat(np.array([j for j, _ in picks], dtype=np.int16),
+                         sizes)
+        parents = np.concatenate([x for _, x in picks])
+        return (rows, None if final else self._hash(rows), (dirs, parents),
+                new)
 
     def _gather(self, pos, starts, sources, frontier, keeps, wide):
         """The int64 columns of the rows at positions pos of a level's hash
         array, yielded one column at a time, on two limbs when the level is
         wide.  The array holds, from each of ``starts`` on, the rows of
-        ``sources``: columns, read in place and widened where the level is
+        ``sources``: an old level, whose rows are widened where the level is
         wide and they are not, or a direction j, whose candidates are
         rebuilt from their links, one batch per direction."""
         part = np.searchsorted(starts, pos, side="right") - 1
-        batches = []        # (where in pos, columns, their rows)
+        batches = []        # (where in pos, the columns of its rows)
         for s in np.unique(part).tolist():
             where = np.flatnonzero(part == s)
             idx = pos[where] - starts[s]
             source = sources[s]
             if isinstance(source, int):
-                parents = np.flatnonzero(keeps[source])[idx]
-                cols = _flat(self._exact(frontier[parents], source, wide))
-                batches.append((where, cols, slice(None)))
-            elif wide and len(source) == self.width:
-                cols = [half for col in source for half in
-                        (col[idx] >> _LIMB_BITS, col[idx] & _LIMB_MASK)]
-                batches.append((where, cols, slice(None)))
+                x = np.flatnonzero(keeps[source])[idx]
+                cols = _flat(self._exact(frontier[x], source, wide))
             else:
-                batches.append((where, source, idx))
+                cols = self._widened(source[idx], wide).T
+            batches.append((where, cols))
         for k in range(len(batches[0][1])):
             col = np.empty(len(pos), dtype=np.int64)
-            for where, cols, idx in batches:
-                col[where] = cols[k][idx]
+            for where, cols in batches:
+                col[where] = cols[k]
             yield col
 
     def _py_level(self, frontier, last, older):

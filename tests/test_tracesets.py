@@ -331,25 +331,20 @@ def _spy_levels(monkeypatch):
     """Record (kind, codec type) of every level the driver runs past int64:
     "two-limb" numpy levels and "python" levels."""
     seen = []
-    np_level, last_level = _Search._np_level, _Search._last_level
-    py_level = _Search._py_level
+    np_level, py_level = _Search._np_level, _Search._py_level
 
-    def np_spy(self, frontier, *args):
-        if frontier.shape[1] != self.width:
-            seen.append(("two-limb", type(self.codec)))
-        return np_level(self, frontier, *args)
-
-    def last_spy(self, frontier, last, older, hashes, kind):
+    def np_spy(self, frontier, last, older, hashes, kind, final):
+        # the first two-limb level reads an int64 frontier: the kind, not
+        # the frontier's shape, names the level
         if kind == "two-limb":
             seen.append((kind, type(self.codec)))
-        return last_level(self, frontier, last, older, hashes, kind)
+        return np_level(self, frontier, last, older, hashes, kind, final)
 
     def py_spy(self, *args):
         seen.append(("python", type(self.codec)))
         return py_level(self, *args)
 
     monkeypatch.setattr(_Search, "_np_level", np_spy)
-    monkeypatch.setattr(_Search, "_last_level", last_spy)
     monkeypatch.setattr(_Search, "_py_level", py_spy)
     return seen
 
@@ -494,14 +489,14 @@ def test_bianchi_19_cross_check_last_level_builds_few_rows(monkeypatch):
     # its new in-bound candidates and for those that share a hash
     from fordlab.constructions import CROSS_CHECK_LEN, build
     seen = _spy_levels(monkeypatch)
-    last_level, exact, gather = (_Search._last_level, _Search._exact,
-                                 _Search._gather)
+    np_level, exact, gather = _Search._np_level, _Search._exact, _Search._gather
     frontiers, returned, built, shared = [], [], [], []
 
-    def last_spy(self, frontier, *args):
-        frontiers.append(frontier.shape)
-        out = last_level(self, frontier, *args)
-        returned.append(len(out[0]))
+    def last_spy(self, frontier, last, older, hashes, kind, final):
+        out = np_level(self, frontier, last, older, hashes, kind, final)
+        if final:
+            frontiers.append(frontier.shape)
+            returned.append(len(out[0]))
         return out
 
     def exact_spy(self, rows, j, wide):
@@ -518,7 +513,7 @@ def test_bianchi_19_cross_check_last_level_builds_few_rows(monkeypatch):
 
     monkeypatch.setattr(_Search, "_exact", exact_spy)
     monkeypatch.setattr(_Search, "_gather", gather_spy)
-    monkeypatch.setattr(_Search, "_last_level", last_spy)
+    monkeypatch.setattr(_Search, "_np_level", last_spy)
     result = enumerate_traces(build("bianchi", 19).combined_gens,
                               CROSS_CHECK_LEN, 40)
     assert CROSS_CHECK_LEN == 4
@@ -556,13 +551,14 @@ def test_int64_guard_is_the_per_column_bound(b, kind):
     search = _Search(_make_codec(gens, Fraction(10)), gens, DEFAULT_STATE_CAP)
     rows = [(1 << 60, b, 0, 1), (-(1 << 60), -b, 0, 1)]
     frontier = np.array(rows, dtype=np.int64)
-    assert search._kind("int64", frontier) == kind
-    if kind == "two-limb":
-        frontier = _widen(frontier)
+    step = search._kind("int64", frontier)
+    assert step == kind
     older = frontier[:0]
     got, hashes, _, new = search._np_level(
         frontier, np.array([-1, -1], np.int16), older,
-        [search._hash(older), search._hash(frontier)])
+        [search._hash(older), search._hash(frontier)], step, False)
+    # a two-limb level reads the int64 frontier and makes two-limb rows
+    assert got.shape[1] == (8 if kind == "two-limb" else 4)
     want = sorted({search.codec.mul(r, g) for r in rows for g in search.dirs})
     # level rows are in generation order
     assert sorted(_py_rows(got, 4)) == want and new == len(want)
@@ -644,9 +640,9 @@ def test_pair_kernel_matches_reference_on_random_bianchi(d, words, max_len,
 def _collide(mp, low_bits):
     """Patch the row hash's multipliers, before a search, so that the hash
     reads only the low_bits low bits of the first coordinate: 0 puts every
-    row in one run, None leaves the hash as it is.  The last level's
-    forms are read from the same multipliers, so both paths collide
-    alike."""
+    row in one run, None leaves the hash as it is.  A candidate's hash is
+    read off a form of the same multipliers, so candidates collide alike
+    with the rows of the old levels."""
     if low_bits is not None:
         mp.setattr(_bfs, "_HASH_MULS",
                    [(1 << 64 - low_bits) % (1 << 64)] + [0] * 7)
@@ -693,7 +689,6 @@ def _assert_collisions_change_nothing(gens, max_len, bound, low_bits,
         _collide(mp, low_bits)
         mp.setattr(_bfs, "_first_rows", first_spy)
         mp.setattr(_Search, "_np_level", level_spy(_Search._np_level))
-        mp.setattr(_Search, "_last_level", level_spy(_Search._last_level))
         mp.setattr(_Search, "_gather", gather_spy)
         forced = enumerate_traces(gens, max_len, bound)
     assert all(candidates == hashed for candidates, hashed in levels)
@@ -733,6 +728,11 @@ _COMMUTING_TWO_LIMB = [from_ints(1, 3, 0, 1),
                        MoebiusElement(bianchi_omega(1), -1, 1, 0),
                        from_ints(1, 0, 1 << 29, 1)]
 
+# levels 1 and 2 run on int64, 3 and 4 on two limbs and 5 on Python ints at
+# a bound of 2**200
+_INT64_TWO_LIMB_PYTHON = [from_ints(1, 1 << 21, 0, 1),
+                          from_ints(1, 0, 1 << 21, 1)]
+
 # generator sets whose final level runs on int64 rows and on two-limb rows:
 # the final row width, in int64 columns, for each
 _FINAL_LEVELS = [
@@ -768,17 +768,30 @@ def test_final_two_limb_level_rebuilds_repeated_rows():
     assert max(widths) == 16 and rebuilt == {16}
 
 
+@pytest.mark.parametrize("max_len", [3, 4, 5])
+@pytest.mark.parametrize("low_bits", [0, 2])
+def test_forced_collisions_on_mixed_width_levels(max_len, low_bits):
+    # level 3 reads an int64 frontier and level 4 an int64 older level,
+    # which the compares of a two-limb level widen; level 5 is a Python
+    # level, so there no numpy level is the last
+    widths, rebuilt = _assert_collisions_change_nothing(
+        _INT64_TWO_LIMB_PYTHON, max_len, 1 << 200, low_bits)
+    assert max(widths) == 8
+    assert rebuilt == ({8} if max_len < 5 else set())
+
+
 @pytest.mark.parametrize("gens, max_len, width", _FINAL_LEVELS, ids=_FINAL_IDS)
 def test_state_cap_boundary_on_final_level(monkeypatch, gens, max_len, width):
     widths = []
-    last_level = _Search._last_level
+    np_level = _Search._np_level
 
-    def spy(self, *args):
-        out = last_level(self, *args)
-        widths.append(out[0].shape[1])
+    def spy(self, frontier, last, older, hashes, kind, final):
+        out = np_level(self, frontier, last, older, hashes, kind, final)
+        if final:
+            widths.append(out[0].shape[1])
         return out
 
-    monkeypatch.setattr(_Search, "_last_level", spy)
+    monkeypatch.setattr(_Search, "_np_level", spy)
     total = enumerate_traces(gens, max_len, 20).states_explored
     assert widths == [width]
     # the final level adds at least two states, so a cap of total - 1
@@ -1251,12 +1264,15 @@ def test_first_rows_allocates_at_most_2_bytes_per_key():
 
 def _permute_levels(monkeypatch, seed):
     """Make the driver permute the rows of each numpy level, with their
-    hashes and links, before the level becomes the frontier."""
+    hashes and links, before the level becomes the frontier; the last
+    level, which has no hashes, is left as it is."""
     rng = np.random.default_rng(seed)
     np_level = _Search._np_level
 
     def permuted(self, *args):
         rows, hashes, (dirs, parents), new = np_level(self, *args)
+        if hashes is None:
+            return rows, hashes, (dirs, parents), new
         perm = rng.permutation(len(rows))
         return rows[perm], hashes[perm], (dirs[perm], parents[perm]), new
 
@@ -1277,7 +1293,7 @@ _ORDER_FREE = [
     ([MoebiusElement(bianchi_omega(3), -1, 1, 0), from_ints(1, 3, 0, 1),
       MoebiusElement(1, bianchi_omega(3) * 3, 0, 1)], 5, 20),
     (_normalizer_7, 8, 27),
-    ([from_ints(1, 1 << 21, 0, 1), from_ints(1, 0, 1 << 21, 1)], 5, 1 << 200),
+    (_INT64_TWO_LIMB_PYTHON, 5, 1 << 200),
 ]
 _ORDER_FREE_IDS = ["sl2z", "bianchi-1", "bianchi-3", "normalizer-7",
                    "int64-two-limb-python"]
@@ -1304,21 +1320,14 @@ def _spy_links(monkeypatch):
     """Record every level the driver makes: (search, the level before, the
     level, its links), each level as a list of states."""
     seen = []
-    np_level, last_level = _Search._np_level, _Search._last_level
-    py_level = _Search._py_level
+    np_level, py_level = _Search._np_level, _Search._py_level
 
     def np_spy(self, frontier, *args):
+        # of the last level only its new in-bound rows, with their links
         rows, hashes, links, new = np_level(self, frontier, *args)
         seen.append((self, _py_rows(frontier, self.width),
                      _py_rows(rows, self.width), links))
         return rows, hashes, links, new
-
-    def last_spy(self, frontier, *args):
-        # only the new in-bound rows of the last level, with their links
-        rows, links, new = last_level(self, frontier, *args)
-        seen.append((self, _py_rows(frontier, self.width),
-                     _py_rows(rows, self.width), links))
-        return rows, links, new
 
     def py_spy(self, frontier, *args):
         rows, links = py_level(self, frontier, *args)
@@ -1326,7 +1335,6 @@ def _spy_links(monkeypatch):
         return rows, links
 
     monkeypatch.setattr(_Search, "_np_level", np_spy)
-    monkeypatch.setattr(_Search, "_last_level", last_spy)
     monkeypatch.setattr(_Search, "_py_level", py_spy)
     return seen
 
@@ -1357,9 +1365,10 @@ def test_links_replay(monkeypatch, gens, max_len, bound):
                         if mul(row, g) in before_set) == j
 
 
-def test_enumeration_peak_is_below_32_bytes_per_state():
-    # gamma0:5's first subgroup at (60, 13); its last level makes only its
-    # hashes and its in-bound rows besides the two old levels
+def test_enumeration_peak_is_below_28_bytes_per_state():
+    # gamma0:5's first subgroup at (60, 13); besides the two old levels, a
+    # level makes only its candidates' hashes and its new rows, and the last
+    # level only its new in-bound rows
     import tracemalloc
     from fordlab.constructions import build
     gens = build("gamma0", 5).subgroups[0].gens
@@ -1370,7 +1379,7 @@ def test_enumeration_peak_is_below_32_bytes_per_state():
     finally:
         tracemalloc.stop()
     assert result.states_explored == 3_188_645
-    assert peak < 32 * result.states_explored
+    assert peak < 28 * result.states_explored
 
 
 def test_state_cap_raises():
