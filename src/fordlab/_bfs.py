@@ -26,18 +26,19 @@ limbs the same sums over the hi and over the lo limbs, then one carry per
 coordinate.  A frontier row skips the directions that can only repeat
 another candidate: the inverse of the direction that reached it, and the
 earlier directions that commute with that one (see ``_Search``).  Every
-level keeps the first occurrence of each new row in generation order,
-found by row hash on numpy levels and by a set on Python-int and exact
-levels.  So each state's link names the first direction that reaches it
-from the level before, and each trace is witnessed by the least state, in
-numeric row order, that has it.  A numpy level makes no candidate rows:
-their hashes, and on the last level their trace columns, are linear forms
-mod 2**64 in the frontier rows.  Exact rows are made only for the
-candidates whose hash another row shares and for the new ones; the last
-level is never a frontier, so of its new candidates only those that may
-be in bound are made.  A row hash reads coordinate values, so an int64
-row and its two limbs hash alike; each level's hashes are made once, with
-the level.
+level keeps the first occurrence of each new row in generation order:
+Python-int and exact levels by a set, numpy levels by dropping the rows
+that repeat an earlier one, which only the runs of equal hash in the
+sorted row hashes can hold (``_repeats``).  So each state's link names the
+first direction that reaches it from the level before, and each trace is
+witnessed by the least state, in numeric row order, that has it.  A numpy
+level makes no candidate rows: their hashes, and on the last level their
+trace columns, are linear forms mod 2**64 in the frontier rows.  Exact
+rows are made only for the candidates whose hash another row shares and
+for the new ones; the last level is never a frontier, so of its new
+candidates only those that may be in bound are made.  A row hash reads
+coordinate values, so an int64 row and its two limbs hash alike; each
+level's hashes are made once, with the level.
 """
 
 from __future__ import annotations
@@ -302,81 +303,65 @@ def _product_hash(cols, gen, hash_form, p=None):
     return _fold_mix(s, e, e == 0, p)
 
 
-# keys per chunk of _first_rows' passes over its sort keys
+# keys per chunk of the passes over a level's sort keys
 _CHUNK = 1 << 16
 
 
-def _first_rows(hashes, gather):
-    """A mask over rows, given their ``_row_hash`` values, that marks the
-    first occurrence by position of each distinct row.  The hashes are
-    overwritten.  ``gather(pos)`` yields the int64 columns of the rows at
-    the positions pos, one column at a time.
+def _repeats(hashes, gather):
+    """The sorted positions of the rows, given their ``_row_hash`` values,
+    that repeat a row at an earlier position.  The hashes are overwritten.
+    ``gather(pos)`` yields the int64 columns of the rows at the positions
+    pos, one column at a time.
 
     One in-place ``np.sort`` of the hashes, with the row positions packed
     into their low bits, puts rows that share the top bits of their hash
-    next to each other, each run in position order; ``_split_runs``
-    compares the rows of the runs of two or more.  The packing and the
-    compares of neighbouring keys go in chunks of ``_CHUNK`` keys, and the
-    marks, in hash order, wait in the top bit of the keys while the mask by
-    position is made, so that no temporary but one mask is n long.
+    next to each other, each run in position order.  Only the members of
+    the runs of two or more are read, and neighbours among them compared
+    exactly: in a run whose rows are all equal every member but the first
+    repeats; a run that holds two different rows is resolved with a Python
+    set over that run only.  The passes over the keys go in chunks of
+    ``_CHUNK`` keys, so that besides the keys no array is n long: each
+    holds one entry per member or per repeat.
     """
     n = len(hashes)
-    ib = (n - 1).bit_length()
-    mask = np.uint64((1 << ib) - 1)
+    mask = np.uint64((1 << (n - 1).bit_length()) - 1)
     key = hashes        # sorted in place
     key &= ~mask
-    chunks = [(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-    for i, end in chunks:
-        key[i:end] |= np.arange(i, end, dtype=np.uint64)
+    for i in range(0, n, _CHUNK):
+        key[i:i + _CHUNK] |= np.arange(i, min(i + _CHUNK, n), dtype=np.uint64)
     key.sort()
-    # in hash order: the runs start where the top bits change
-    first = np.empty(n, dtype=bool)
-    first[:1] = True
-    for i, end in chunks:
-        i = max(i, 1)
-        np.greater(key[i:end] ^ key[i - 1:end - 1], mask, out=first[i:end])
-    key &= mask
-    _split_runs(first, key.view(np.int64), chunks, gather)
-    top = np.uint64(1 << 63)
-    for i, end in chunks:
-        np.bitwise_or(key[i:end], top, out=key[i:end], where=first[i:end])
-    del first
-    out = np.empty(n, dtype=bool)
-    for i, end in chunks:
-        out[key[i:end] & mask] = key[i:end] >= top
-    return out
-
-
-def _split_runs(first, order, chunks, gather):
-    """Mark in ``first``, a mask in hash order that holds where a run of
-    keys with the same top bits starts, only the first occurrence of each
-    distinct row.  ``order`` holds the rows' positions in hash order.
-
-    Only the members, the rows of the runs of two or more, are read:
-    neighbours among them are compared exactly.  In a run whose rows are
-    all equal only the first stays marked; a run that holds two different
-    rows is resolved with a Python set over that run only.
-    """
-    # the members: each key not a run start, and each run start before one
-    tail = np.concatenate([np.flatnonzero(~first[i:end]) + i
-                           for i, end in chunks])
+    # in hash order: the keys whose top bits equal those of the key before
+    tail = np.concatenate([np.arange(0)] + [
+        np.flatnonzero(key[i:end] ^ key[i - 1:end - 1] <= mask) + i
+        for i, end in ((i, min(i + _CHUNK, n)) for i in range(1, n, _CHUNK))])
     if not len(tail):
-        return
-    members = np.sort(np.concatenate([(tail - 1)[first[tail - 1]], tail]))
-    differs = np.zeros(len(members) - 1, dtype=bool)
-    for col in gather(order[members]):
+        return tail
+    # the members: each stretch of consecutive tail keys, its head inserted
+    # before it; where in them each run starts, and their end
+    at = np.flatnonzero(np.diff(tail, prepend=-2) != 1)
+    members = np.insert(tail, at, tail[at] - 1)
+    heads = np.append(at + np.arange(len(at)), len(members))
+    del tail, at
+    pos = key[members].view(np.int64)
+    del members
+    pos &= int(mask)
+    differs = np.zeros(len(pos) - 1, dtype=bool)
+    for col in gather(pos):
         differs |= col[1:] != col[:-1]
-    # neighbours in one run whose rows differ, and the members that start
-    # each run
-    bad = np.flatnonzero(differs & ~first[members[1:]])
-    heads = np.append(np.flatnonzero(first[members]), len(members))
-    for r in np.unique(np.searchsorted(heads, bad, side="right") - 1):
-        run = members[heads[r]:heads[r + 1]]
+    repeat = np.ones(len(pos), dtype=bool)
+    repeat[heads[:-1]] = False
+    # neighbours in one run whose rows differ
+    bad = np.flatnonzero(differs & repeat[1:])
+    for r in np.unique(np.searchsorted(heads, bad, side="right") - 1).tolist():
+        run = slice(*heads[r:r + 2].tolist())
         seen = set()
-        for at, row in zip(run.tolist(), zip(*(
-                col.tolist() for col in gather(order[run])))):
-            first[at] = row not in seen
+        for k, row in enumerate(zip(*(col.tolist() for col in gather(
+                pos[run]))), run.start):
+            repeat[k] = row in seen
             seen.add(row)
+    out = pos[repeat]
+    out.sort()
+    return out
 
 
 # -- integer matrices, optionally scaled by 1/sqrt(p) ----------------------
@@ -721,7 +706,7 @@ class _Search:
         if kind is _PY:
             return _PY
         limbs = frontier.shape[1] != self.width
-        high = np.abs(frontier[:, 0::2] if limbs else frontier)
+        high = frontier[:, 0::2] if limbs else frontier
 
         def per_column(top):
             # T for frontier columns bounded by top (hi limbs on two limbs)
@@ -730,9 +715,11 @@ class _Search:
                         for row in self.abs_rows), default=0)
         # T <= F*K for F the largest entry, so the column maxima are read
         # only when F*K does not fit the current kind
-        bound = per_column([int(high.max())] * high.shape[1])
+        bound = per_column([max(int(high.max()), -int(high.min()))]
+                           * high.shape[1])
         if bound >= (_INT64_GUARD if kind is _INT64 else _WIDE_GUARD):
-            bound = per_column(high.max(axis=0).tolist())
+            bound = per_column(map(max, high.max(axis=0).tolist(),
+                                   (-high.min(axis=0)).tolist()))
         if kind is _INT64 and bound < _INT64_GUARD:
             return _INT64
         if (self.gen_max < _WIDE_FACTOR and self.form_max < _WIDE_FORM
@@ -814,21 +801,22 @@ class _Search:
         their links, and no hashes.
 
         The hashes of the two old levels, then of each direction's
-        candidates, go into one array, and ``_first_rows`` marks the first
-        occurrence of each row.  A candidate x*g_j is hashed off the
-        frontier row x by ``hash_forms[j]`` (``_product_hash``), in blocks
-        of ``_CHUNK`` rows, and only the hashes are compressed by the skip
-        table's mask.  The two old levels come first and are disjoint and
-        deduplicated, so the marked candidates are the new states, each at
-        the least direction j that reaches it; its parent is the frontier
-        row x with x*g_j the row, unique since rows are canonical.  Exact
-        rows, on int64 or on two limbs as the kind says, are made only for
-        the candidates that share a hash with another row, from their links
-        inside ``_first_rows`` (``_gather``), and for the new ones, of which
-        the last level makes only those that pass the codec's
-        ``np_maybe_in_bound`` on the forms ``trace_forms[j]`` wrapped to
-        int64; ``_record`` tests them exactly.  The level's rows are
-        column-major, so that each column is contiguous.
+        candidates, go into one array, and ``_repeats`` finds the positions
+        of the rows that repeat an earlier one.  A candidate x*g_j is hashed
+        off the frontier row x by ``hash_forms[j]`` (``_product_hash``), in
+        blocks of ``_CHUNK`` rows, and only the hashes are compressed by the
+        skip table's mask.  The two old levels come first and are disjoint
+        and deduplicated, so every repeat is a candidate, and the others,
+        each direction's span of the array less its repeats, are the new
+        states, each at the least direction j that reaches it; its parent
+        is the frontier row x with x*g_j the row, unique since rows are
+        canonical.  Exact rows, on int64 or on two limbs as the kind says,
+        are made only for the candidates that share a hash with another
+        row, from their links inside ``_repeats`` (``_gather``), and for the
+        new ones, of which the last level makes only those that pass the
+        codec's ``np_maybe_in_bound`` on the forms ``trace_forms[j]``
+        wrapped to int64; ``_record`` tests them exactly.  The level's rows
+        are column-major, so that each column is contiguous.
         """
         wide = kind is _WIDE
         n_old = len(older) + len(frontier)
@@ -862,18 +850,21 @@ class _Search:
             return frontier[:0], None, (last[:0], np.arange(0)), 0
         starts = np.array([0, len(older)] + [start for _, start, *_ in parts])
         sources = [older, frontier] + [j for j, *_ in parts]
-        first = _first_rows(key, lambda pos: self._gather(
+        repeats = _repeats(key, lambda pos: self._gather(
             pos, starts, sources, frontier, keeps, wide))
+        new = len(key) - n_old - len(repeats)
         del key
-        new = int(np.count_nonzero(first[n_old:]))
         # per direction: j and the frontier rows x whose x*g_j is kept
         picks = []
         for j, start, end, offsets in parts:
-            pick = first[start:end]
-            if final:
-                pick = offsets[pick[offsets]]
-            picks.append((j, np.flatnonzero(keeps[j])[pick]))
-        del first
+            lo, hi = np.searchsorted(repeats, (start, end)).tolist()
+            drop = repeats[lo:hi] - start
+            if final and len(drop):
+                # the offsets that may be in bound, less the dropped ones
+                hit = drop.take(np.searchsorted(drop, offsets), mode="clip")
+                offsets = offsets[hit != offsets]
+            x = np.flatnonzero(keeps[j])
+            picks.append((j, x[offsets] if final else np.delete(x, drop)))
         sizes = [len(x) for _, x in picks]
         rows = np.empty((sum(sizes), (1 + wide) * self.width),
                         dtype=np.int64, order="F")
@@ -891,10 +882,11 @@ class _Search:
     def _gather(self, pos, starts, sources, frontier, keeps, wide):
         """The int64 columns of the rows at positions pos of a level's hash
         array, yielded one column at a time, on two limbs when the level is
-        wide.  The array holds, from each of ``starts`` on, the rows of
-        ``sources``: an old level, whose rows are widened where the level is
-        wide and they are not, or a direction j, whose candidates are
-        rebuilt from their links, one batch per direction."""
+        wide: the rows that ``_repeats`` compares, the members of the runs
+        of equal hash.  The array holds, from each of ``starts`` on, the
+        rows of ``sources``: an old level, whose rows are widened where the
+        level is wide and they are not, or a direction j, whose candidates
+        are rebuilt from their links, one batch per direction."""
         part = np.searchsorted(starts, pos, side="right") - 1
         batches = []        # (where in pos, the columns of its rows)
         for s in np.unique(part).tolist():
@@ -936,15 +928,22 @@ class _Search:
     def _record(self, rows, level):
         """Record every trace key first met in a level, with the index of
         its witness there: the least row, in numeric order, that has it."""
-        if isinstance(rows, np.ndarray):
+        if isinstance(rows, np.ndarray) and len(rows):
             # trace_key reads only the trace columns, so the least in-bound
-            # row of each distinct tuple of them is the least row of its key
-            traces = _linear(_columns(rows, self.width), self.codec.trace_form)
-            idx = np.flatnonzero(self.codec.np_in_bound(traces))
+            # row of each distinct tuple of them is the least row of its key;
+            # they are made in blocks of _CHUNK rows and kept where in bound
+            idx, parts = [], []
+            for i in range(0, len(rows), _CHUNK):
+                traces = _linear(_columns(rows[i:i + _CHUNK], self.width),
+                                 self.codec.trace_form)
+                ok = self.codec.np_in_bound(traces)
+                idx.append(np.flatnonzero(ok) + i)
+                parts.append([half[ok] for half in _flat(traces)])
+            idx = np.concatenate(idx)
             # one group per distinct tuple, numbered one column at a time
             group = np.zeros(len(idx), dtype=np.int64)
-            for col in _flat(traces):
-                values, at = np.unique(col[idx], return_inverse=True)
+            for col in map(np.concatenate, zip(*parts)):
+                values, at = np.unique(col, return_inverse=True)
                 ids, group = np.unique(group * len(values) + at,
                                        return_inverse=True)
             # the least row of each group, one column at a time; level rows

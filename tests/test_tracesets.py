@@ -11,7 +11,6 @@ from fordlab._bfs import (
     _columns,
     _compose,
     _ExactCodec,
-    _first_rows,
     _flat,
     _IntCodec,
     _linear,
@@ -20,6 +19,7 @@ from fordlab._bfs import (
     _PairCodec,
     _product_hash,
     _py_rows,
+    _repeats,
     _row_hash,
     _Search,
     _widen,
@@ -658,11 +658,11 @@ def _assert_collisions_change_nothing(gens, max_len, bound, low_bits,
     their links."""
     plain = enumerate_traces(gens, max_len, bound)
     widths, keys, levels, rebuilt = [], [], [], set()
-    first_rows, gather = _bfs._first_rows, _Search._gather
+    repeats, gather = _bfs._repeats, _Search._gather
 
-    def first_spy(hashes, *args):
+    def repeats_spy(hashes, *args):
         keys.append(len(hashes))
-        return first_rows(hashes, *args)
+        return repeats(hashes, *args)
 
     def level_spy(level):
         def spy(self, frontier, last, older, *args):
@@ -687,7 +687,7 @@ def _assert_collisions_change_nothing(gens, max_len, bound, low_bits,
 
     with pytest.MonkeyPatch.context() as mp:
         _collide(mp, low_bits)
-        mp.setattr(_bfs, "_first_rows", first_spy)
+        mp.setattr(_bfs, "_repeats", repeats_spy)
         mp.setattr(_Search, "_np_level", level_spy(_Search._np_level))
         mp.setattr(_Search, "_gather", gather_spy)
         forced = enumerate_traces(gens, max_len, bound)
@@ -1211,12 +1211,12 @@ _DEDUP_SIZES = [1, 2, 3, 4, 5, 8, 9, 255, 256, 257, 1024, 1025]
 @example(pool=[[_TOP, -_TOP, 0, 0], [-_TOP, _TOP, 0, 0]], width=2, n=2,
          seed=0, distinct=False, constant=[False] * 4, wide=False,
          hash_bits=0, fortran=True)
-def test_first_rows_marks_first_occurrences(pool, width, n, seed, distinct,
+def test_repeats_finds_the_rows_seen_before(pool, width, n, seed, distinct,
                                             constant, wide, hash_bits,
                                             fortran):
-    """_first_rows equals a Python first-occurrence dict, with the row hash
-    or with degenerate hashes (all equal, or 2 low bits of the first
-    column) that put different rows in one run."""
+    """_repeats equals the rows that a Python first-occurrence dict has seen
+    before, with the row hash or with degenerate hashes (all equal, or 2
+    low bits of the first column) that put different rows in one run."""
     rng = np.random.default_rng(seed)
     pool = np.array(pool, dtype=np.int64)[:, :width]
     if distinct:
@@ -1236,30 +1236,46 @@ def test_first_rows_marks_first_occurrences(pool, width, n, seed, distinct,
     else:
         hashes = rows[:, 0].view(np.uint64) & np.uint64((1 << hash_bits) - 1)
     first = {}
-    want = [first.setdefault(row, i) == i
-            for i, row in enumerate(map(tuple, rows.tolist()))]
-    assert _first_rows(hashes, lambda pos: rows[pos].T).tolist() == want
+    want = [i for i, row in enumerate(map(tuple, rows.tolist()))
+            if first.setdefault(row, i) != i]
+    assert _repeats(hashes, lambda pos: rows[pos].T).tolist() == want
 
 
-def test_first_rows_allocates_at_most_2_bytes_per_key():
-    # 2**21 keys with a forced run of 4,096 different rows under one hash:
-    # beyond its input, _first_rows holds one mask and chunk-sized
-    # temporaries, whatever the runs
+def _traced_repeats(hashes, rows):
+    """_repeats of one int64 column of rows, and the peak it allocated."""
     import tracemalloc
-    n = 1 << 21
-    hashes = np.random.default_rng(0).integers(0, 1 << 63, n, dtype=np.uint64)
-    hashes[::512] = hashes[0]
-    rows = np.arange(n, dtype=np.int64)
     # one run of two different rows first, for numpy's one-time setup
-    assert _first_rows(np.zeros(2, np.uint64), lambda pos: iter([pos])).all()
+    assert not len(_repeats(np.zeros(2, np.uint64), lambda pos: iter([pos])))
     tracemalloc.start()
     try:
-        first = _first_rows(hashes, lambda pos: iter([rows[pos]]))
+        repeats = _repeats(hashes, lambda pos: iter([rows[pos]]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first.all()
-    assert peak <= 2 * n
+    return repeats, peak
+
+
+def test_repeats_allocates_at_most_half_a_byte_per_key():
+    # 2**21 keys with a forced run of 4,096 different rows under one hash:
+    # beyond its input, _repeats holds chunk-sized temporaries and arrays
+    # of one entry per run member, whatever the runs
+    n = 1 << 21
+    hashes = np.random.default_rng(0).integers(0, 1 << 63, n, dtype=np.uint64)
+    hashes[::512] = hashes[0]
+    repeats, peak = _traced_repeats(hashes, np.arange(n, dtype=np.int64))
+    assert not len(repeats)
+    assert peak <= n / 2
+
+
+def test_repeats_of_every_tenth_row_allocate_at_most_6_8_bytes_per_key():
+    # 2**21 rows of one column, every tenth row the row before it: 2**21/10
+    # runs of two equal rows, whose members and repeats _repeats holds
+    n = 1 << 21
+    rows = np.arange(n, dtype=np.int64)
+    rows[9::10] = rows[8::10]
+    repeats, peak = _traced_repeats(_row_hash([rows]), rows)
+    assert repeats.tolist() == list(range(9, n, 10))
+    assert peak <= 6.8 * n
 
 
 def _permute_levels(monkeypatch, seed):
@@ -1365,7 +1381,7 @@ def test_links_replay(monkeypatch, gens, max_len, bound):
                         if mul(row, g) in before_set) == j
 
 
-def test_enumeration_peak_is_below_28_bytes_per_state():
+def test_enumeration_peak_is_below_27_bytes_per_state():
     # gamma0:5's first subgroup at (60, 13); besides the two old levels, a
     # level makes only its candidates' hashes and its new rows, and the last
     # level only its new in-bound rows
@@ -1379,7 +1395,34 @@ def test_enumeration_peak_is_below_28_bytes_per_state():
     finally:
         tracemalloc.stop()
     assert result.states_explored == 3_188_645
-    assert peak < 28 * result.states_explored
+    assert peak < 27 * result.states_explored
+
+
+# the states explored by each subgroup's enumeration and by the
+# cross-check, for the seven fixed targets at the bound and word length of
+# the benchmark's verify (bianchi:10 at bianchi:3's)
+_FIXED_STATES = [
+    ("modular", None, 50, 12, [12_286, 201_371, 1_062_881], 11_622),
+    ("gamma0", 5, 60, 13, [3_188_645, 24_574], 1_814),
+    ("principal", 7, 130, 12, [1_062_881], 161),
+    ("normalizer", 7, 27, 11, [354_293, 78_617, 78_617, 6_142], 41_982),
+    *(("bianchi", d, 40, 8, [17_494, 102_371] + [196_417] * 3, 607_782)
+      for d in (19, 3, 10)),
+]
+
+
+@pytest.mark.parametrize("target, param, bound, max_len, subgroups, cross",
+                         _FIXED_STATES,
+                         ids=[f"{t}-{p}" for t, p, *_ in _FIXED_STATES])
+def test_fixed_targets_explore_the_pinned_state_counts(target, param, bound,
+                                                       max_len, subgroups,
+                                                       cross):
+    from fordlab.constructions import CROSS_CHECK_LEN, build
+    c = build(target, param)
+    assert [enumerate_traces(sub.gens, max_len, bound).states_explored
+            for sub in c.subgroups] == subgroups
+    assert enumerate_traces(c.combined_gens, min(max_len, CROSS_CHECK_LEN),
+                            bound).states_explored == cross
 
 
 def test_state_cap_raises():
